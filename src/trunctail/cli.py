@@ -21,7 +21,9 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from importlib.metadata import PackageNotFoundError, version
 
+from . import __version__
 from .errors import (DegenerateTailError, EmptySampleError,
                      ModelViolationError, NumericError)
 from .limit_process import mc_variance
@@ -42,12 +44,11 @@ _THREADS_ENV = "TRUNCTAIL_THREADS"
 
 
 def _version() -> str:
+    """Installed distribution version, else the package's own."""
     try:
-        from importlib.metadata import version
-
         return version("artifact")
-    except Exception:
-        return "unknown"
+    except PackageNotFoundError:
+        return __version__
 
 
 def _dump_json(obj) -> str:

@@ -19,9 +19,14 @@ Threshold choice uses a dispersion criterion: k* minimizes the
 i^theta-weighted mean absolute deviation of the estimator path from
 its running median.  Prefixes with fewer than two summands are
 excluded (a singleton's deviation from its own median is identically
-zero, which would otherwise pin the argmin at the smallest k).
+zero, which would otherwise pin the argmin at the smallest k).  One
+running-median pass scores every k in O(n log n); only the thresholds
+whose score could reach the minimum within the pass's rounding error
+are re-scored from the definition, so the choice is exactly that of a
+direct scan.
 """
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -112,8 +117,7 @@ def gamma1_path(sample: TruncatedSample, variant: str = WOODROOFE) -> np.ndarray
 
     Returns:
         Array path of length n with path[k] = estimate at threshold k
-        for 1 <= k <= n-1; path[0] and path[n-1]... index 0 is NaN
-        (undefined).
+        for 1 <= k <= n-1; path[0] is NaN (no threshold 0).
 
     The whole path costs O(n log n): the weights F_n/C_n at the order
     statistics do not depend on k, so cumulative sums give every
@@ -229,6 +233,10 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
     three deviations from the running median is the smallest guard that
     makes the criterion informative.
 
+    Cost: O(n log n) for one running-median pass that scores every k,
+    plus O(k) for each re-scored candidate (see _rescore_candidates);
+    on continuous data that is rarely more than one.
+
     Args:
         path: estimator values indexed by threshold, as returned by
             gamma1_path or hill_path.
@@ -250,8 +258,111 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
     if np.any(~np.isfinite(seg)):
         raise DegenerateTailError("estimator path is not finite over the scan range")
     weights = np.arange(2, k_max + 1, dtype=float) ** theta
+    fast, bound = _running_scores(seg, weights)
+    return _rescore_candidates(seg, weights, fast[start - 2:], bound[start - 2:], start)
+
+
+_U = 2.0 ** -53        # unit roundoff of float64
+_ETA = 2.0 ** -1074    # smallest subnormal: the absolute error unit under underflow
+
+
+def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dispersion score of every prefix of seg in one pass, with error bounds.
+
+    Entry j belongs to k = j + 2, the prefix seg[:j+1].  A max-heap of
+    the lower half and a min-heap of the upper half track the median;
+    running sums of w and w*x per half give the score as
+    (S_hi - med W_hi + med W_lo - S_lo) / k.
+
+    bound[j] is a rigorous bound on |fast[j] - direct[j]|, where direct
+    is the score as _rescore_candidates rounds it from the definition.
+    Both differ from the exact score of the same floats and median (the
+    even-count median is fl(a + b) / 2 in both, as in np.median):
+      * each running sum takes at most 3 additions per step between the
+        two halves, each off by at most u times a partial sum, which is
+        bounded by the prefix total A(t) of |terms|: 4u sum_t A(t);
+      * each term w*x is rounded once: 2u A(s);
+      * the closing formula does 5 operations on terms bounded by
+        M = |S_hi| + |med W_hi| + |med W_lo| + |S_lo|: 8u M;
+      * the direct dot product of s terms, the subtraction and the
+        division are off by at most gamma_{s+2} times the exact score;
+      * underflow adds at most one subnormal unit per rounded product
+        or quotient.
+    The constants exceed the operation counts (4 for 3, 8 for 6), which
+    also covers the rounding of the bound and of fast +/- bound.
+    """
+    xs = seg.tolist()
+    ws = weights.tolist()
+    wx = weights * seg
+    wxs = wx.tolist()
+    size = len(xs)
+    trail = []                # median, S_lo, W_lo, S_hi, W_hi after each step
+    lo, hi = [], []           # lo holds (-x, j), hi holds (x, j)
+    odd = False               # lo holds one element more than hi
+    s_lo = w_lo = s_hi = w_hi = 0.0
+    for j in range(size):
+        x = xs[j]
+        if odd:               # the new element ends in hi, by way of lo if below its max
+            if x < -lo[0][0]:
+                v, i = heapq.heapreplace(lo, (-x, j))
+                heapq.heappush(hi, (-v, i))
+                s_lo += wxs[j]
+                w_lo += ws[j]
+                s_lo -= wxs[i]
+                w_lo -= ws[i]
+            else:
+                i = j
+                heapq.heappush(hi, (x, j))
+            s_hi += wxs[i]
+            w_hi += ws[i]
+            med = (-lo[0][0] + hi[0][0]) / 2
+        else:                 # the new element ends in lo, by way of hi if above its min
+            if hi and x > hi[0][0]:
+                v, i = heapq.heapreplace(hi, (x, j))
+                heapq.heappush(lo, (-v, i))
+                s_hi += wxs[j]
+                w_hi += ws[j]
+                s_hi -= wxs[i]
+                w_hi -= ws[i]
+            else:
+                i = j
+                heapq.heappush(lo, (-x, j))
+            s_lo += wxs[i]
+            w_lo += ws[i]
+            med = -lo[0][0]
+        odd = not odd
+        trail.extend((med, s_lo, w_lo, s_hi, w_hi))
+    med, s_lo, w_lo, s_hi, w_hi = np.array(trail).reshape(size, 5).T
+    count = np.arange(1, size + 1, dtype=float)           # summands in the prefix
+    k = count + 1.0
+    fast = (s_hi - med * w_hi + med * w_lo - s_lo) / k
+
+    abs_med = np.abs(med)
+    a_wx = np.cumsum(np.abs(wx))
+    a_w = np.cumsum(weights)
+    terms = np.abs(s_hi) + abs_med * w_hi + abs_med * w_lo + np.abs(s_lo)
+    fast_err = (4.0 * _U * (np.cumsum(a_wx) + abs_med * np.cumsum(a_w))
+                + 2.0 * _U * a_wx + 8.0 * _U * terms) / k
+    gamma = (count + 2.0) * _U / (1.0 - (count + 2.0) * _U)
+    bound = (fast_err + gamma * (np.abs(fast) + fast_err)
+             + (2.0 * count + 8.0) * _ETA)
+    return fast, bound
+
+
+def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
+                        bound: np.ndarray, start: int) -> int:
+    """Smallest k attaining the minimum score computed from the definition.
+
+    fast[j] and bound[j] belong to k = start + j.  A k whose lowest
+    possible direct score exceeds the lowest upper bound over all k
+    cannot attain the minimum; every other k is re-scored directly, in
+    ascending order with a strict comparison, so exact ties resolve as
+    a full direct scan would.  A non-finite bound keeps its k.
+    """
+    ceiling = np.min(fast + bound)
+    candidates = np.flatnonzero(~(fast - bound > ceiling))
     best_k, best_score = None, np.inf
-    for k in range(start, k_max + 1):
+    for k in (candidates + start).tolist():
         m = k - 1                      # number of summands i = 2..k
         med = np.median(seg[:m])
         score = float(weights[:m] @ np.abs(seg[:m] - med)) / k

@@ -13,7 +13,6 @@ Gauss-Kronrod then converges quickly with no tail cutoff to choose.
 """
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 

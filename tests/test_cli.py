@@ -1,10 +1,13 @@
 import json
 import math
+from importlib.metadata import PackageNotFoundError
 
 import numpy as np
 import pytest
 
+import trunctail
 from trunctail import TruncatedSample, burr, gamma2_for_target_p
+from trunctail import cli
 from trunctail.cli import main
 from trunctail.truncation import TruncationModel
 
@@ -108,6 +111,21 @@ def test_estimate_replay_reproduces_outputs(tmp_path, capsys):
     assert (second / "est.json").read_bytes() == (first / "est.json").read_bytes()
     assert (second / "trace.csv").read_bytes() == (first / "trace.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_manifest_version_falls_back_to_package(tmp_path, capsys, monkeypatch):
+    # run from a source tree: no installed distribution to ask
+    def not_installed(name):
+        raise PackageNotFoundError(name)
+
+    monkeypatch.setattr(cli, "version", not_installed)
+    out_json = str(tmp_path / "est.json")
+    assert main(["estimate", _simulated_csv(tmp_path), "--json", out_json]) == 0
+    manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
+    assert manifest["library_version"] == trunctail.__version__
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out.strip() == trunctail.__version__
 
 
 def test_replay_detects_changed_input(tmp_path, capsys):

@@ -1,0 +1,115 @@
+"""The running-median threshold scan against the direct quadratic loop.
+
+select_k_dispersion scores every k in one heap pass and re-scores only
+the thresholds whose fast score could reach the minimum.  These tests
+hold it to the loop it replaced, kept here as _select_k_oracle, on a
+seeded corpus of estimator paths and on arbitrary paths full of exact
+ties.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trunctail import (LYNDEN_BELL, WOODROOFE, burr, default_k_max,
+                       gamma1_path, gamma2_for_target_p, hill_path,
+                       select_k_dispersion)
+from trunctail.truncation import TruncationModel
+
+
+def _select_k_oracle(path, theta=0.3, k_min=2, k_max=None):
+    """Direct O(n^2) scan: a fresh median and dot product for every k."""
+    if k_max is None:
+        k_max = default_k_max(path.shape[0])
+    start = max(k_min, 4)
+    seg = np.ascontiguousarray(path[2:k_max + 1])
+    weights = np.arange(2, k_max + 1, dtype=float) ** theta
+    best_k, best_score = None, np.inf
+    for k in range(start, k_max + 1):
+        m = k - 1                      # number of summands i = 2..k
+        med = np.median(seg[:m])
+        score = float(weights[:m] @ np.abs(seg[:m] - med)) / k
+        if score < best_score:
+            best_k, best_score = k, score
+    return int(best_k)
+
+
+def _corpus_paths():
+    """Estimator paths of seeded truncated Burr samples, n from 6 to ~3 000."""
+    rng = np.random.default_rng(20150706)
+    sizes = np.unique(np.geomspace(9, 4000, 60).astype(int))
+    for big_n in sizes.tolist():
+        p = float(rng.choice([0.7, 0.9]))
+        gamma1 = float(rng.choice([0.3, 0.6, 1.0]))
+        model = TruncationModel(burr(0.25, gamma1),
+                                burr(0.25, gamma2_for_target_p(gamma1, p)))
+        sample = model.sample(big_n, int(rng.integers(2 ** 31)))
+        n = sample.n
+        if n < 6:
+            continue
+        for path in (gamma1_path(sample, WOODROOFE),
+                     gamma1_path(sample, LYNDEN_BELL),
+                     hill_path(sample.y)):
+            yield n, path
+
+
+def test_matches_oracle_on_seeded_corpus():
+    checked = 0
+    for n, path in _corpus_paths():
+        k_max = default_k_max(n)
+        for k_min in sorted({2, max(2, math.isqrt(n))}):
+            if k_min >= k_max:
+                continue
+            for theta in (0.0, 0.3, 0.5):
+                fast = select_k_dispersion(path, theta, k_min)
+                assert fast == _select_k_oracle(path, theta, k_min), (n, k_min, theta)
+                checked += 1
+    assert checked >= 1000
+
+
+def _hand_built_paths():
+    rng = np.random.default_rng(7)
+    ks = np.arange(1, 400)
+    plateau = np.where(ks < 150, 0.6 + 0.3 * np.sin(ks) / ks, 0.6)
+    plateau = np.where(ks > 300, 0.6 + 1e-3 * (ks - 300), plateau)
+    stepped = 0.5 + 0.1 * (ks // 40)
+    tied = np.round(0.6 + 0.05 * rng.standard_normal(ks.size), 1)
+    two_level = np.where(rng.random(ks.size) < 0.5, 0.7, 0.7 + 2.0 ** -40)
+    alternating = np.where(ks % 2 == 0, 1.0, -1.0)
+    offset = 1e8 + 1e-6 * rng.standard_normal(ks.size)
+    tiny = 1e-310 * (1.0 + rng.random(ks.size))
+    for body in (np.full(ks.size, 0.7), np.zeros(ks.size), plateau, stepped,
+                 tied, two_level, alternating, offset, tiny):
+        yield np.concatenate(([np.nan], body))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+def test_matches_oracle_on_constant_plateau_and_tied_paths(theta):
+    for path in _hand_built_paths():
+        for k_min, k_max in ((2, None), (19, None), (2, 60), (5, 6)):
+            fast = select_k_dispersion(path, theta, k_min, k_max)
+            assert fast == _select_k_oracle(path, theta, k_min, k_max)
+
+
+_TIED_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 2.0 ** -52, 0.6, 1.0, 3.0])
+
+
+@st.composite
+def _scans(draw):
+    n = draw(st.integers(6, 60))
+    path = np.array(draw(st.lists(_TIED_VALUES, min_size=n, max_size=n)))
+    k_max = draw(st.integers(4, n - 1))
+    k_min = draw(st.integers(2, k_max - 1))
+    theta = draw(st.sampled_from([0.0, 0.3, 0.5]) | st.floats(0.0, 0.5))
+    return path, theta, k_min, k_max
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scans())
+def test_matches_oracle_on_arbitrary_tied_paths(scan):
+    path, theta, k_min, k_max = scan
+    assert (select_k_dispersion(path, theta, k_min, k_max)
+            == _select_k_oracle(path, theta, k_min, k_max))

@@ -175,7 +175,7 @@ def test_select_k_dispersion_determinism_and_range():
     k_a = select_k_reiss_thomas(sample)
     k_b = select_k_reiss_thomas(sample)
     assert k_a == k_b
-    assert 3 <= k_a <= default_k_max(sample.n)
+    assert 4 <= k_a <= default_k_max(sample.n)
 
 
 def test_select_k_dispersion_validation():
