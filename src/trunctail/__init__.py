@@ -23,7 +23,7 @@ from .tail_index import (ConfidenceInterval, TailIndexEstimate,
                          default_k_max, estimate_gamma2, full_report,
                          gamma1_estimate, gamma1_path,
                          generalized_statistic_complete, hill, hill_path,
-                         select_k_dispersion, select_k_reiss_thomas)
+                         select_k_dispersion)
 from .truncation import (TruncatedSample, TruncationModel,
                          gamma2_for_target_p)
 
@@ -40,7 +40,7 @@ __all__ = [
     "confidence_interval", "default_k_max", "estimate_gamma2",
     "full_report", "gamma1_estimate", "gamma1_path",
     "generalized_statistic_complete", "hill", "hill_path",
-    "select_k_dispersion", "select_k_reiss_thomas",
+    "select_k_dispersion",
     "WienerPath", "simulate_wiener", "transformed_grid", "gamma_process",
     "limiting_rv", "DeltaMoments", "delta_moments", "delta_moments_mc",
     "combined_delta_second_moment", "EnsembleStats", "mc_variance",

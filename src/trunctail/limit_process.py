@@ -19,7 +19,10 @@ only against W(s) ~ s^(1/2).  Two measures keep this exact and cheap:
 
 * Integrals of the piecewise-linear interpolated path are computed in
   closed form per segment (no quadrature grid, no truncation near 0),
-  so every functional here is exactly linear in the path values.
+  so every functional here is exactly linear in the path values.  One
+  kernel, _segment_weights, turns a grid into node weights for every
+  such integral; gamma_process reuses it on the grid cut at
+  c = x^(-1/gamma), with (c, W(c)) as the last node.
 * Monte Carlo ensembles sample W at the warped times s_j = (j/m)^q
   with q = 2/(2 rho - 1).  On a uniform grid the first cell [0, 1/m]
   alone hides an O(m^(1/2 - rho)) share of the limit variance in
@@ -163,52 +166,6 @@ def _segment_weights(grid: np.ndarray, a: float):
     return w_plain, w_log
 
 
-def _segment_prefix_integrals(grid: np.ndarray, values: np.ndarray, a: float) -> np.ndarray:
-    """Prefix array P with P[j] = int_0^grid[j] s^a W_lin(s) ds."""
-    p = a + 1.0
-    if not (-1.0 < p < 0.0):
-        raise ValueError(f"exponent a must lie in (-2, -1), got {a}")
-    s1 = grid[1]
-    if abs(p * math.log(s1)) > 700.0:
-        raise NumericError(f"weight s^{p} overflows at the first grid point {s1!r}")
-    seg = np.empty(grid.size - 1)
-    # first segment alone: W(s) = values[1] * s / s1 on [0, s1]
-    seg[0] = values[1] * s1 ** p / (p + 1.0)
-    if grid.size > 2:
-        sl, sr = grid[1:-1], grid[2:]
-        lr = np.log1p((sr - sl) / sl)
-        em_p = np.expm1(p * lr)
-        em_p1 = np.expm1((p + 1.0) * lr)
-        rm1 = np.expm1(lr)
-        r = rm1 + 1.0
-        slp = np.exp(p * np.log(sl))
-        a_hat = em_p / p
-        b_hat = em_p1 / (p + 1.0)
-        c_left = slp * (r * a_hat - b_hat) / rm1
-        c_right = slp * (b_hat - a_hat) / rm1
-        seg[1:] = c_left * values[1:-1] + c_right * values[2:]
-    prefix = np.empty(grid.size)
-    prefix[0] = 0.0
-    np.cumsum(seg, out=prefix[1:])
-    return prefix
-
-
-def _partial_segment_integral(grid, values, a, c, j) -> float:
-    """int_{grid[j]}^{c} s^a W_lin(s) ds for grid[j] <= c < grid[j+1]."""
-    p = a + 1.0
-    if j == 0:
-        # linear run from the origin: W(s) = values[1] * s / grid[1]
-        return values[1] / grid[1] * c ** (p + 1.0) / (p + 1.0)
-    sl, sr = grid[j], grid[j + 1]
-    if c <= sl:
-        return 0.0
-    w_l, w_r = values[j], values[j + 1]
-    slope = (w_r - w_l) / (sr - sl)
-    big_a = (c ** p - sl ** p) / p
-    big_b = (c ** (p + 1.0) - sl ** (p + 1.0)) / (p + 1.0)
-    return (w_l - slope * sl) * big_a + slope * big_b
-
-
 def _tail_parameters(gamma1: float, gamma2: float):
     if not (np.isfinite(gamma1) and gamma1 > 0 and np.isfinite(gamma2)):
         raise ValueError("tail indices must be finite and positive")
@@ -245,18 +202,16 @@ def gamma_process(x: float, path: WienerPath, gamma1: float, gamma2: float) -> f
     p = a + 1.0
     c = x ** (-1.0 / gamma)
     scale = x ** (1.0 / gamma)
-    prefix = _segment_prefix_integrals(grid, values, a)
-    j = int(np.searchsorted(grid, c, side="right")) - 1
-    if j >= grid.size - 1:
-        part_c = prefix[-1]
-    else:
-        part_c = prefix[j] + _partial_segment_integral(grid, values, a, c, j)
-    full = prefix[-1]
-    integral = scale * c ** (-p) * part_c - full
     w_c = float(np.interp(c, grid, values))
-    w_1 = values[-1]
+    # the interpolated path is linear between nodes, so cutting the
+    # grid at c and ending it with the node (c, W(c)) integrates it
+    # exactly over [0, c]; at c = 1 the cut grid is the full grid
+    j = int(np.searchsorted(grid, c, side="left"))
+    full = _segment_weights(grid, a)[0] @ values
+    part_c = _segment_weights(np.append(grid[:j], c), a)[0] @ np.append(values[:j], w_c)
+    integral = scale * c ** (-p) * part_c - full
     lead = x ** (-1.0 / gamma1)
-    return float((gamma / gamma1) * lead * (scale * w_c - w_1)
+    return float((gamma / gamma1) * lead * (scale * w_c - values[-1])
                  + gamma / (gamma1 + gamma2) * lead * integral)
 
 
@@ -265,11 +220,15 @@ def limiting_rv(path: WienerPath, gamma1: float, gamma2: float) -> float:
 
     Exactly linear in the path values; the zero path maps to 0.0.
     """
-    gamma, rho = _tail_parameters(gamma1, gamma2)
+    _, rho = _tail_parameters(gamma1, gamma2)
     w_plain, w_log = _segment_weights(path.grid, rho - 2.0)
-    d1 = float(w_plain @ path.values)
-    d2 = float(w_log @ path.values)
-    d3 = float(path.values[-1])
+    return _combine(float(w_plain @ path.values), float(w_log @ path.values),
+                    float(path.values[-1]), gamma1, gamma2)
+
+
+def _combine(d1, d2, d3, gamma1: float, gamma2: float):
+    """L(W) from (Delta1, Delta2, Delta3), elementwise on scalars or arrays."""
+    gamma, _ = _tail_parameters(gamma1, gamma2)
     return (-gamma * d3
             + gamma / (gamma1 + gamma2) * ((gamma2 - gamma1) * d1 - gamma * d2))
 
@@ -323,22 +282,29 @@ def combined_delta_second_moment(gamma1: float, gamma2: float) -> float:
             + 2.0 * a * b * mom.d12 - 2.0 * a * mom.d13 - 2.0 * b * mom.d23)
 
 
-def _warped_paths(rho: float, m: int, seed: int, n_paths: int):
-    """Yield (grid, values) for the ensemble, one warped path per index.
+def _ensemble(rho: float, m: int, seed: int, n_paths: int):
+    """(Delta1, Delta2, Delta3) arrays over n_paths warped Wiener paths.
 
     Path i draws from the stream (seed, i), so any subset of paths can
     be regenerated independently of evaluation order.
     """
-    q = 2.0 / (2.0 * rho - 1.0)
-    grid = transformed_grid(m, q)
+    if n_paths < 2:
+        raise ValueError("n_paths must be >= 2")
+    grid = transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    w_plain, w_log = _segment_weights(grid, rho - 2.0)
     sds = np.sqrt(np.diff(grid))
     values = np.empty(m + 1)
+    values[0] = 0.0
+    d1 = np.empty(n_paths)
+    d2 = np.empty(n_paths)
+    d3 = np.empty(n_paths)
     for i in range(n_paths):
-        rng = derive_rng(seed, i)
-        increments = rng.standard_normal(m) * sds
-        values[0] = 0.0
+        increments = derive_rng(seed, i).standard_normal(m) * sds
         np.cumsum(increments, out=values[1:])
-        yield grid, values
+        d1[i] = w_plain @ values
+        d2[i] = w_log @ values
+        d3[i] = values[-1]
+    return d1, d2, d3
 
 
 def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoments:
@@ -349,20 +315,7 @@ def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoment
     """
     if not (0.5 < rho < 1.0):
         raise ValueError(f"rho must lie in (0.5, 1), got {rho}")
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    a = rho - 2.0
-    sums = None
-    w_ready = None
-    d1 = np.empty(n_paths)
-    d2 = np.empty(n_paths)
-    d3 = np.empty(n_paths)
-    for i, (grid, values) in enumerate(_warped_paths(rho, m, seed, n_paths)):
-        if w_ready is None:
-            w_ready = _segment_weights(grid, a)
-        d1[i] = w_ready[0] @ values
-        d2[i] = w_ready[1] @ values
-        d3[i] = values[-1]
+    d1, d2, d3 = _ensemble(rho, m, seed, n_paths)
     def mean_of(prod):
         return math.fsum(prod) / n_paths
     return DeltaMoments(
@@ -418,19 +371,8 @@ def mc_variance(gamma1: float, gamma2: float, n_paths: int, m: int, seed: int) -
     with exact (order-independent) summation, so results depend only on
     (gamma1, gamma2, n_paths, m, seed).
     """
-    gamma, rho = _tail_parameters(gamma1, gamma2)
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    kappa = gamma / (gamma1 + gamma2)
-    values_out = np.empty(n_paths)
-    w_ready = None
-    for i, (grid, values) in enumerate(_warped_paths(rho, m, seed, n_paths)):
-        if w_ready is None:
-            w_ready = _segment_weights(grid, rho - 2.0)
-        d1 = w_ready[0] @ values
-        d2 = w_ready[1] @ values
-        values_out[i] = (-gamma * values[-1]
-                         + kappa * ((gamma2 - gamma1) * d1 - gamma * d2))
+    _, rho = _tail_parameters(gamma1, gamma2)
+    values_out = _combine(*_ensemble(rho, m, seed, n_paths), gamma1, gamma2)
     mean = math.fsum(values_out) / n_paths
     centered = values_out - mean
     variance = math.fsum(centered * centered) / (n_paths - 1)

@@ -232,34 +232,51 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
             (seed, r).
         workers: process count; any value yields identical output.
     """
+    return _run_cells([(p, gamma1, delta, big_n, seed)], replicates, variant, theta, workers)[0]
+
+
+def _run_cells(cells, replicates: int, variant: str, theta: float,
+               workers: int) -> list[StudyRow]:
+    """Run every (p, gamma1, delta, N, seed) cell on one shared pool.
+
+    All replicates of all cells are mapped in one pass, so a pool is
+    started at most once and never with more workers than tasks; the
+    results are sliced back per cell in order.
+    """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     tasks = [
         (p, gamma1, delta, big_n, variant, theta, stable_key("replicate", seed, r))
+        for p, gamma1, delta, big_n, seed in cells
         for r in range(replicates)
     ]
     if workers > 1:
-        chunk = max(1, replicates // (workers * 8))
+        workers = min(workers, len(tasks))
+        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replicate, tasks, chunksize=chunk))
     else:
         results = [_run_replicate(t) for t in tasks]
-    kept = [r for r in results if r is not None]
-    if not kept:
-        raise DegenerateTailError(
-            f"all {replicates} replicates degenerate in cell "
-            f"(p={p}, gamma1={gamma1}, N={big_n})"
-        )
-    count = len(kept)
-    mean_n = math.fsum(r[0] for r in kept) / count
-    mean_k = math.fsum(r[1] for r in kept) / count
-    mean_g = math.fsum(r[2] for r in kept) / count
-    rmse = math.sqrt(math.fsum((r[2] - gamma1) ** 2 for r in kept) / count)
-    return StudyRow(
-        p=p, gamma1=gamma1, big_n=big_n,
-        mean_n=mean_n, mean_k_star=mean_k,
-        abs_bias=abs(mean_g - gamma1), rmse=rmse, completed=count,
-    )
+    rows = []
+    for index, (p, gamma1, _, big_n, _) in enumerate(cells):
+        kept = [r for r in results[index * replicates:(index + 1) * replicates]
+                if r is not None]
+        if not kept:
+            raise DegenerateTailError(
+                f"all {replicates} replicates degenerate in cell "
+                f"(p={p}, gamma1={gamma1}, N={big_n})"
+            )
+        count = len(kept)
+        mean_n = math.fsum(r[0] for r in kept) / count
+        mean_k = math.fsum(r[1] for r in kept) / count
+        mean_g = math.fsum(r[2] for r in kept) / count
+        rmse = math.sqrt(math.fsum((r[2] - gamma1) ** 2 for r in kept) / count)
+        rows.append(StudyRow(
+            p=p, gamma1=gamma1, big_n=big_n,
+            mean_n=mean_n, mean_k_star=mean_k,
+            abs_bias=abs(mean_g - gamma1), rmse=rmse, completed=count,
+        ))
+    return rows
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
@@ -268,19 +285,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     Cell seeds are content keys of (master_seed, p, gamma1, delta, N),
     so reordering cells permutes rows without changing any number.
     """
-    rows = []
-    for cell in config.cells:
-        for big_n in cell.sizes:
-            cell_seed = stable_key("cell", config.master_seed, cell.p,
-                                   cell.gamma1, cell.delta, big_n)
-            try:
-                rows.append(run_cell(
-                    cell.p, cell.gamma1, cell.delta, big_n,
-                    config.replicates, config.variant, config.theta,
-                    seed=cell_seed, workers=workers,
-                ))
-            except DegenerateTailError as exc:
-                raise DegenerateTailError(
-                    f"cell (p={cell.p}, gamma1={cell.gamma1}, N={big_n}): {exc}"
-                ) from exc
-    return StudyReport(tuple(rows))
+    cells = [
+        (cell.p, cell.gamma1, cell.delta, big_n,
+         stable_key("cell", config.master_seed, cell.p, cell.gamma1, cell.delta, big_n))
+        for cell in config.cells
+        for big_n in cell.sizes
+    ]
+    return StudyReport(tuple(_run_cells(cells, config.replicates, config.variant,
+                                        config.theta, workers)))

@@ -51,7 +51,6 @@ __all__ = [
     "hill",
     "hill_path",
     "select_k_dispersion",
-    "select_k_reiss_thomas",
 ]
 
 
@@ -357,7 +356,10 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
     possible direct score exceeds the lowest upper bound over all k
     cannot attain the minimum; every other k is re-scored directly, in
     ascending order with a strict comparison, so exact ties resolve as
-    a full direct scan would.  A non-finite bound keeps its k.
+    a full direct scan would.  A non-finite bound keeps its k.  Scores
+    are >= 0, so the scan stops at the first score of exactly 0.0: no
+    later k can beat it, and a constant path, whose every k stays a
+    candidate, costs one re-score.
     """
     ceiling = np.min(fast + bound)
     candidates = np.flatnonzero(~(fast - bound > ceiling))
@@ -368,14 +370,9 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
         score = float(weights[:m] @ np.abs(seg[:m] - med)) / k
         if score < best_score:
             best_k, best_score = k, score
+            if score == 0.0:
+                break
     return int(best_k)
-
-
-def select_k_reiss_thomas(sample: TruncatedSample, variant: str = WOODROOFE,
-                          theta: float = 0.3, k_min: int = 2,
-                          k_max: int | None = None) -> int:
-    """Data-driven threshold for gamma1_estimate; see select_k_dispersion."""
-    return select_k_dispersion(gamma1_path(sample, variant), theta, k_min, k_max)
 
 
 def estimate_gamma2(sample: TruncatedSample, k2: int | None = None,

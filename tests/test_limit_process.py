@@ -148,7 +148,8 @@ def test_gamma_process_matches_quadrature():
     path = _random_path(26, m=8, q=3.0)
     gamma1, gamma2 = 0.6, 1.4
     gamma = gamma1 * gamma2 / (gamma1 + gamma2)
-    for x in (1.5, 2.0, 10.0):
+    # x = 50 puts c below grid[1], so the cut grid is [0, c]
+    for x in (1.5, 2.0, 10.0, 50.0):
         c = x ** (-1.0 / gamma)
         scale = x ** (1.0 / gamma)
         lin = lambda s: np.interp(s, path.grid, path.values)

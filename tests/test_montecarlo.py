@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from trunctail import montecarlo
 from trunctail import (DegenerateTailError, StudyConfig, StudyReport, StudyRow,
                        burr, default_k_max, gamma1_path, gamma2_for_target_p,
                        run_cell, run_study, select_k_dispersion)
@@ -93,6 +94,59 @@ def test_run_cell_worker_count_is_immaterial():
     serial = run_cell(0.7, 0.6, 0.25, 250, replicates=12, seed=3, workers=1)
     parallel = run_cell(0.7, 0.6, 0.25, 250, replicates=12, seed=3, workers=2)
     assert serial == parallel
+
+
+_THREE_CELLS = {
+    "cells": [{"p": 0.7, "gamma1": 0.6, "N": [150, 200]},
+              {"p": 0.8, "gamma1": 0.8, "N": [180]}],
+    "replicates": 4,
+    "master_seed": 11,
+}
+
+
+def test_one_pool_per_study_capped_at_task_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    row = run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8)
+    assert sizes == [3]
+    assert row == run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1)
+    run_study(StudyConfig.from_dict(_THREE_CELLS), workers=64)
+    assert sizes == [3, 12]
+
+
+def test_run_study_parallel_bytes_match_serial_across_cells():
+    # three cells share one task list; slicing it back per cell must
+    # give every cell the row a serial run gives
+    config = StudyConfig.from_dict(_THREE_CELLS)
+    serial = run_study(config, workers=1).to_csv_text()
+    assert serial.count("\n") == 4
+    assert run_study(config, workers=2).to_csv_text() == serial
+
+
+def test_run_study_names_the_degenerate_cell():
+    config = StudyConfig.from_dict({
+        "cells": [{"p": 0.7, "gamma1": 0.6, "N": [150, 2]},
+                  {"p": 0.8, "gamma1": 0.8, "N": [180]}],
+        "replicates": 3,
+    })
+    with pytest.raises(DegenerateTailError, match=r"p=0\.7, gamma1=0\.6, N=2\)"):
+        run_study(config)
 
 
 def test_run_cell_mean_observed_fraction():

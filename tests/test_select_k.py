@@ -94,6 +94,16 @@ def test_matches_oracle_on_constant_plateau_and_tied_paths(theta):
             assert fast == _select_k_oracle(path, theta, k_min, k_max)
 
 
+def test_constant_path_stops_at_first_zero_score(monkeypatch):
+    # every k of a constant path stays a candidate, but the first direct
+    # score is exactly 0.0 and nothing later can beat it
+    calls = []
+    median = np.median
+    monkeypatch.setattr(np, "median", lambda *a, **kw: calls.append(1) or median(*a, **kw))
+    assert select_k_dispersion(np.full(3000, 0.7), theta=0.3) == 4
+    assert len(calls) == 1
+
+
 _TIED_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 2.0 ** -52, 0.6, 1.0, 3.0])
 
 

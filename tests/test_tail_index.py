@@ -9,7 +9,7 @@ from trunctail import (LYNDEN_BELL, WOODROOFE, DegenerateTailError,
                        fit_product_limit, full_report, gamma1_estimate,
                        gamma1_path, gamma2_for_target_p,
                        generalized_statistic_complete, hill, hill_path,
-                       select_k_dispersion, select_k_reiss_thomas)
+                       select_k_dispersion)
 from trunctail.tail_index import TailIndexEstimate
 from trunctail.truncation import TruncationModel
 
@@ -172,8 +172,8 @@ def test_select_k_dispersion_tie_goes_to_smallest():
 
 def test_select_k_dispersion_determinism_and_range():
     sample = _truncated_sample(55, big_n=800)
-    k_a = select_k_reiss_thomas(sample)
-    k_b = select_k_reiss_thomas(sample)
+    k_a = select_k_dispersion(gamma1_path(sample))
+    k_b = select_k_dispersion(gamma1_path(sample))
     assert k_a == k_b
     assert 4 <= k_a <= default_k_max(sample.n)
 
