@@ -123,11 +123,10 @@ def cmd_estimate(params: dict) -> int:
         sys.stdout.write(report_text)
     if params["trace"] is not None:
         k_max = default_k_max(sample.n)
-        path = gamma1_path(sample, params["variant"])
+        values = gamma1_path(sample, params["variant"])[2:max(k_max, 2) + 1].tolist()
         with open(params["trace"], "w", newline="") as fh:
-            fh.write("k,gamma1_hat\n")
-            for k in range(2, max(k_max, 2) + 1):
-                fh.write(f"{k},{path[k]!r}\n")
+            fh.write("k,gamma1_hat\n"
+                     + "".join(f"{k},{v!r}\n" for k, v in enumerate(values, start=2)))
         outputs.append(params["trace"])
     if outputs:
         manifest_path = params["manifest"] or outputs[0] + ".manifest.json"

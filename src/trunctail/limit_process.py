@@ -31,9 +31,26 @@ only against W(s) ~ s^(1/2).  Two measures keep this exact and cheap:
   near 0 at equal resolution in the flattened variable u = s^(1/q) and
   reduces that loss below 1e-5 relative.  simulate_wiener keeps the
   plain uniform grid for direct use.
+
+Ensembles.  A path is values = cumsum(sd * z) with sd_l the square
+root of the l-th grid step and z iid N(0, 1), so a node-weight
+functional w @ values equals a @ z for the increment weights
+a_l = sd_l * sum_{j>=l} w_j.  The ensemble computes a once per call
+(one row for L(W), three for the Deltas); a path then costs one normal
+fill from its own stream (seed, i) and one product-and-sum.  The same
+row gives the exact variance of the discretized L(W), sum_l a_l^2, so
+mc_variance can split its error into grid bias and Monte Carlo noise.
+Every weight reduction in this module is numpy's fixed-order
+np.add.reduce, never BLAS, whose thread count would change the sums.
+Paths run in contiguous chunks, one thread per available core (the
+normal fill and the ufuncs release the GIL); each path writes its own
+slot and aggregation uses math.fsum, so the output depends neither on
+the number of cores nor on the number of BLAS threads.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,8 +224,8 @@ def gamma_process(x: float, path: WienerPath, gamma1: float, gamma2: float) -> f
     # grid at c and ending it with the node (c, W(c)) integrates it
     # exactly over [0, c]; at c = 1 the cut grid is the full grid
     j = int(np.searchsorted(grid, c, side="left"))
-    full = _segment_weights(grid, a)[0] @ values
-    part_c = _segment_weights(np.append(grid[:j], c), a)[0] @ np.append(values[:j], w_c)
+    full = _weigh(_segment_weights(grid, a)[0], values)
+    part_c = _weigh(_segment_weights(np.append(grid[:j], c), a)[0], np.append(values[:j], w_c))
     integral = scale * c ** (-p) * part_c - full
     lead = x ** (-1.0 / gamma1)
     return float((gamma / gamma1) * lead * (scale * w_c - values[-1])
@@ -220,17 +237,29 @@ def limiting_rv(path: WienerPath, gamma1: float, gamma2: float) -> float:
 
     Exactly linear in the path values; the zero path maps to 0.0.
     """
-    _, rho = _tail_parameters(gamma1, gamma2)
-    w_plain, w_log = _segment_weights(path.grid, rho - 2.0)
-    return _combine(float(w_plain @ path.values), float(w_log @ path.values),
-                    float(path.values[-1]), gamma1, gamma2)
+    return float(_weigh(_limit_weights(path.grid, gamma1, gamma2), path.values))
 
 
-def _combine(d1, d2, d3, gamma1: float, gamma2: float):
-    """L(W) from (Delta1, Delta2, Delta3), elementwise on scalars or arrays."""
-    gamma, _ = _tail_parameters(gamma1, gamma2)
-    return (-gamma * d3
-            + gamma / (gamma1 + gamma2) * ((gamma2 - gamma1) * d1 - gamma * d2))
+def _limit_weights(grid: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray:
+    """Node weights w with L(W) = w @ values on this grid."""
+    gamma, rho = _tail_parameters(gamma1, gamma2)
+    w_plain, w_log = _segment_weights(grid, rho - 2.0)
+    weights = gamma / (gamma1 + gamma2) * ((gamma2 - gamma1) * w_plain - gamma * w_log)
+    weights[-1] -= gamma
+    return weights
+
+
+def _weigh(weights, x, prod=None, out=None):
+    """Sum of weights * x over the last axis, in numpy's fixed pairwise
+    order (no BLAS); prod and out are optional preallocated buffers."""
+    return np.add.reduce(np.multiply(weights, x, out=prod), axis=-1, out=out)
+
+
+def _increment_weights(grid: np.ndarray, node_weights: np.ndarray) -> np.ndarray:
+    """Rows a with a @ z == node_weights @ values for the path
+    values = [0, cumsum(sqrt(diff(grid)) * z)] (see module docstring)."""
+    suffix = np.cumsum(node_weights[..., ::-1], axis=-1)[..., ::-1]
+    return np.sqrt(np.diff(grid)) * suffix[..., 1:]
 
 
 class DeltaMoments(NamedTuple):
@@ -282,29 +311,53 @@ def combined_delta_second_moment(gamma1: float, gamma2: float) -> float:
             + 2.0 * a * b * mom.d12 - 2.0 * a * mom.d13 - 2.0 * b * mom.d23)
 
 
-def _ensemble(rho: float, m: int, seed: int, n_paths: int):
-    """(Delta1, Delta2, Delta3) arrays over n_paths warped Wiener paths.
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
-    Path i draws from the stream (seed, i), so any subset of paths can
-    be regenerated independently of evaluation order.
+
+def _warped_grid(rho: float, m: int) -> np.ndarray:
+    return transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+
+
+def _delta_rows(rho: float, m: int) -> np.ndarray:
+    """Increment-weight rows of (Delta1, Delta2, Delta3) on the warped grid."""
+    grid = _warped_grid(rho, m)
+    w_plain, w_log = _segment_weights(grid, rho - 2.0)
+    w_end = np.zeros(grid.size)
+    w_end[-1] = 1.0
+    return _increment_weights(grid, np.stack([w_plain, w_log, w_end]))
+
+
+def _ensemble(rows: np.ndarray, seed: int, n_paths: int) -> np.ndarray:
+    """rows @ z for the increments z of n_paths Wiener paths, shape
+    (len(rows), n_paths).
+
+    Path i draws z from the stream (seed, i) and writes only its own
+    slot, so the result does not depend on how the paths are split
+    over threads.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    grid = transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
-    w_plain, w_log = _segment_weights(grid, rho - 2.0)
-    sds = np.sqrt(np.diff(grid))
-    values = np.empty(m + 1)
-    values[0] = 0.0
-    d1 = np.empty(n_paths)
-    d2 = np.empty(n_paths)
-    d3 = np.empty(n_paths)
-    for i in range(n_paths):
-        increments = derive_rng(seed, i).standard_normal(m) * sds
-        np.cumsum(increments, out=values[1:])
-        d1[i] = w_plain @ values
-        d2[i] = w_log @ values
-        d3[i] = values[-1]
-    return d1, d2, d3
+    out = np.empty((n_paths, rows.shape[0]))
+
+    def run(lo, hi):
+        z = np.empty(rows.shape[1])
+        prod = np.empty(rows.shape)
+        for i in range(lo, hi):
+            derive_rng(seed, i).standard_normal(out=z)
+            _weigh(rows, z, prod, out[i])
+
+    n_workers = min(_worker_count(), n_paths)
+    bounds = [n_paths * t // n_workers for t in range(n_workers + 1)]
+    with ThreadPoolExecutor(n_workers) as pool:
+        chunks = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for chunk in chunks:
+            chunk.result()
+    return out.T
 
 
 def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoments:
@@ -315,7 +368,7 @@ def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoment
     """
     if not (0.5 < rho < 1.0):
         raise ValueError(f"rho must lie in (0.5, 1), got {rho}")
-    d1, d2, d3 = _ensemble(rho, m, seed, n_paths)
+    d1, d2, d3 = _ensemble(_delta_rows(rho, m), seed, n_paths)
     def mean_of(prod):
         return math.fsum(prod) / n_paths
     return DeltaMoments(
@@ -337,6 +390,8 @@ class EnsembleStats:
         variance: sample variance (ddof=1).
         std_error: standard error of the variance estimate.
         mean_std_error: standard error of the mean.
+        grid_variance: exact variance of the discretized L(W) on the
+            m-step warped grid; its gap to sigma^2 is the grid bias.
     """
 
     gamma1: float
@@ -347,6 +402,7 @@ class EnsembleStats:
     variance: float
     std_error: float
     mean_std_error: float
+    grid_variance: float
 
     def to_dict(self) -> dict:
         from .tail_index import asymptotic_variance
@@ -359,6 +415,8 @@ class EnsembleStats:
             "mean": self.mean,
             "variance": self.variance,
             "std_error": self.std_error,
+            "grid_variance": self.grid_variance,
+            "grid_z": (self.variance - self.grid_variance) / self.std_error,
             "sigma2_closed_form": asymptotic_variance(self.gamma1, self.gamma2),
         }
 
@@ -369,10 +427,13 @@ def mc_variance(gamma1: float, gamma2: float, n_paths: int, m: int, seed: int) -
     Simulates n_paths Wiener paths at resolution m on the warped grid,
     evaluates limiting_rv's linear functional on each, and aggregates
     with exact (order-independent) summation, so results depend only on
-    (gamma1, gamma2, n_paths, m, seed).
+    (gamma1, gamma2, n_paths, m, seed), not on the core or BLAS thread
+    count.
     """
     _, rho = _tail_parameters(gamma1, gamma2)
-    values_out = _combine(*_ensemble(rho, m, seed, n_paths), gamma1, gamma2)
+    grid = _warped_grid(rho, m)
+    row = _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
+    values_out = _ensemble(row[np.newaxis], seed, n_paths)[0]
     mean = math.fsum(values_out) / n_paths
     centered = values_out - mean
     variance = math.fsum(centered * centered) / (n_paths - 1)
@@ -387,4 +448,5 @@ def mc_variance(gamma1: float, gamma2: float, n_paths: int, m: int, seed: int) -
         variance=variance,
         std_error=math.sqrt(var_of_var),
         mean_std_error=math.sqrt(variance / n_paths),
+        grid_variance=math.fsum(row * row),
     )

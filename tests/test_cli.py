@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.metadata import PackageNotFoundError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trunctail
-from trunctail import TruncatedSample, burr, gamma2_for_target_p
+from trunctail import TruncatedSample, burr, gamma1_path, gamma2_for_target_p
 from trunctail import cli
 from trunctail.cli import main
 from trunctail.truncation import TruncationModel
@@ -95,6 +100,23 @@ def test_estimate_full_run_with_files(tmp_path, capsys):
     assert manifest["command"] == "estimate"
     assert manifest["outputs"] == [out_json, out_trace]
     assert data in manifest["input_digests"]
+
+
+def test_estimate_trace_rows_are_numeric_and_exact(tmp_path, capsys):
+    data = _simulated_csv(tmp_path)
+    out_trace = tmp_path / "trace.csv"
+    assert main(["estimate", data, "--json", str(tmp_path / "est.json"),
+                 "--trace", str(out_trace)]) == 0
+    header, *rows = out_trace.read_text().splitlines()
+    assert header == "k,gamma1_hat"
+    sample = TruncatedSample.from_csv(data)
+    path = gamma1_path(sample)
+    for expected_k, row in enumerate(rows, start=2):
+        k_text, value_text = row.split(",")
+        assert int(k_text) == expected_k
+        assert float(value_text) == path[expected_k]
+    assert len(rows) == trunctail.default_k_max(sample.n) - 1
+    capsys.readouterr()
 
 
 def test_estimate_replay_reproduces_outputs(tmp_path, capsys):
@@ -242,8 +264,11 @@ def test_limit_check_stdout(capsys):
                  "--paths", "400", "--m", "512", "--seed", "4"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    for key in ("mc_variance", "sigma2_closed_form", "relative_error", "std_error"):
-        assert key in out
+    assert set(out) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
+                        "std_error", "grid_variance", "grid_z", "sigma2_closed_form",
+                        "mc_variance", "relative_error"}
+    assert out["grid_z"] == pytest.approx(
+        (out["variance"] - out["grid_variance"]) / out["std_error"], rel=1e-12)
     assert out["sigma2_closed_form"] == pytest.approx(1.598625, abs=1e-9)
     assert out["relative_error"] < 0.5
 
@@ -259,6 +284,23 @@ def test_limit_check_json_file_and_replay(tmp_path, capsys):
                  "--outdir", str(redo)]) == 0
     assert (redo / "lc.json").read_bytes() == (tmp_path / "lc.json").read_bytes()
     capsys.readouterr()
+
+
+def test_limit_check_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at m = 2^14 a BLAS dot product is split over the BLAS threads, so
+    # any weight reduction left on BLAS changes the last bits
+    src = str(Path(trunctail.__file__).resolve().parents[1])
+    digests = set()
+    for blas_threads in ("1", "2"):
+        out_json = tmp_path / f"lc{blas_threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "trunctail.cli", "limit-check",
+                        "--gamma1", "0.6", "--gamma2", "1.4", "--paths", "200",
+                        "--m", "16384", "--seed", "12345", "--json", str(out_json)],
+                       env=env, check=True, timeout=120)
+        digests.add(hashlib.sha256(out_json.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_limit_check_rejects_bad_ordering(capsys):

@@ -9,7 +9,10 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
                        delta_moments, delta_moments_mc, gamma_process,
                        limiting_rv, mc_variance, simulate_wiener,
                        transformed_grid)
-from trunctail.limit_process import _segment_weights
+from trunctail import limit_process
+from trunctail.limit_process import (_delta_rows, _ensemble, _increment_weights,
+                                     _limit_weights, _segment_weights, _warped_grid)
+from trunctail.seeding import derive_rng
 
 
 def _random_path(seed, m=8, q=3.0):
@@ -225,10 +228,81 @@ def test_mc_variance_reproducible_and_near_closed_form():
     d = a.to_dict()
     assert d["sigma2_closed_form"] == pytest.approx(closed, rel=1e-14)
     assert set(d) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
-                      "std_error", "sigma2_closed_form"}
+                      "std_error", "grid_variance", "grid_z", "sigma2_closed_form"}
 
 
 def test_mc_variance_second_pair():
     st = mc_variance(0.8, 3.2, 4000, 4096, seed=6)
     closed = asymptotic_variance(0.8, 3.2)
     assert abs(st.variance - closed) < 6.0 * st.std_error + 0.02 * closed
+
+
+def _ensemble_oracle(rho, m, seed, n_paths):
+    """The per-path cumsum-and-dot loop: (Delta1, Delta2, Delta3) rows."""
+    grid = transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    w_plain, w_log = _segment_weights(grid, rho - 2.0)
+    sds = np.sqrt(np.diff(grid))
+    values = np.zeros(m + 1)
+    out = np.empty((3, n_paths))
+    for i in range(n_paths):
+        np.cumsum(derive_rng(seed, i).standard_normal(m) * sds, out=values[1:])
+        out[:, i] = (w_plain @ values, w_log @ values, values[-1])
+    return out
+
+
+@pytest.mark.parametrize("rho,m,seed", [(0.7, 2 ** 14, 1), (0.6, 2 ** 14, 2),
+                                        (0.55, 4096, 3), (0.9, 1024, 4), (0.95, 257, 5)])
+def test_ensemble_matches_cumsum_oracle(rho, m, seed):
+    oracle = _ensemble_oracle(rho, m, seed, 24)
+    assert np.max(np.abs(_ensemble(_delta_rows(rho, m), seed, 24) - oracle)) <= 1e-12
+    # the single L(W) row against L assembled from the oracle's Deltas
+    gamma2 = 1.4
+    gamma = gamma2 * (1.0 - rho)
+    gamma1 = gamma * gamma2 / (gamma2 - gamma)
+    grid = _warped_grid(rho, m)
+    row = _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
+    d1, d2, d3 = oracle
+    expected = (-gamma * d3
+                + gamma / (gamma1 + gamma2) * ((gamma2 - gamma1) * d1 - gamma * d2))
+    assert np.max(np.abs(_ensemble(row[np.newaxis], seed, 24)[0] - expected)) <= 1e-12
+
+
+def test_ensemble_bits_do_not_depend_on_thread_count(monkeypatch):
+    rows = _delta_rows(0.7, 2048)
+    results = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(limit_process, "_worker_count", lambda: threads)
+        results.append(_ensemble(rows, 77, 50))
+    assert all(np.array_equal(r, results[0]) for r in results[1:])
+    assert results[0].shape == (3, 50)
+
+
+def test_ensemble_pool_has_one_thread_per_core_capped_at_paths(monkeypatch):
+    sizes = []
+
+    class Recording(limit_process.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(limit_process, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(limit_process, "_worker_count", lambda: 8)
+    _ensemble(_delta_rows(0.7, 64), 1, 3)
+    _ensemble(_delta_rows(0.7, 64), 1, 20)
+    assert sizes == [3, 8]
+
+
+@pytest.mark.parametrize("gamma1,gamma2,bias", [(0.6, 1.4, -1.79e-6), (0.8, 7.2, -1.5e-7)])
+def test_grid_variance_is_the_discretized_limit_variance(gamma1, gamma2, bias):
+    closed = asymptotic_variance(gamma1, gamma2)
+    stats = mc_variance(gamma1, gamma2, 2, 2 ** 14, seed=1)
+    assert abs(stats.grid_variance / closed - 1.0) <= 1e-5
+    assert stats.grid_variance / closed - 1.0 == pytest.approx(bias, rel=0.05)
+    # on a short grid, sum a_l^2 against the node-weight form
+    # Var(w @ values) = w' Cov w with Cov(W(s), W(t)) = min(s, t)
+    _, rho = limit_process._tail_parameters(gamma1, gamma2)
+    grid = _warped_grid(rho, 64)
+    w = _limit_weights(grid, gamma1, gamma2)
+    row = _increment_weights(grid, w)
+    cov = np.minimum.outer(grid, grid)
+    assert math.fsum(row * row) == pytest.approx(w @ cov @ w, rel=1e-10)
