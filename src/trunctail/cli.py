@@ -29,7 +29,7 @@ from .errors import (DegenerateTailError, EmptySampleError,
 from .limit_process import mc_variance
 from .montecarlo import StudyConfig, run_study
 from .product_limit import LYNDEN_BELL, WOODROOFE
-from .tail_index import default_k_max, full_report, gamma1_path
+from .tail_index import default_k_max, full_report
 from .truncation import TruncatedSample
 
 __all__ = ["main"]
@@ -39,8 +39,6 @@ EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
-
-_THREADS_ENV = "TRUNCTAIL_THREADS"
 
 
 def _version() -> str:
@@ -76,15 +74,6 @@ def _write_manifest(path: str, command: str, parameters: dict, seeds: dict,
     }
     with open(path, "w") as fh:
         fh.write(_dump_json(manifest))
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring non-integer {_THREADS_ENV}={raw!r}", file=sys.stderr)
-        return 1
 
 
 def cmd_estimate(params: dict) -> int:
@@ -123,7 +112,7 @@ def cmd_estimate(params: dict) -> int:
         sys.stdout.write(report_text)
     if params["trace"] is not None:
         k_max = default_k_max(sample.n)
-        values = gamma1_path(sample, params["variant"])[2:max(k_max, 2) + 1].tolist()
+        values = est.path[2:max(k_max, 2) + 1].tolist()
         with open(params["trace"], "w", newline="") as fh:
             fh.write("k,gamma1_hat\n"
                      + "".join(f"{k},{v!r}\n" for k, v in enumerate(values, start=2)))
@@ -161,8 +150,14 @@ def cmd_simulate(params: dict) -> int:
 
 def cmd_limit_check(params: dict) -> int:
     """Compare the Monte Carlo limit variance against the closed form."""
-    stats = mc_variance(params["gamma1"], params["gamma2"],
-                        params["paths"], params["m"], params["seed"])
+    try:
+        stats = mc_variance(params["gamma1"], params["gamma2"],
+                            params["paths"], params["m"], params["seed"])
+    except ModelViolationError:
+        raise
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     payload = stats.to_dict()
     payload["mc_variance"] = stats.variance
     payload["relative_error"] = abs(stats.variance / payload["sigma2_closed_form"] - 1.0)
@@ -253,17 +248,18 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="JSON study config; replaces the inline cell flags")
     sim.add_argument("--p", type=float, default=None, help="truncation probability")
     sim.add_argument("--gamma1", type=float, default=None, help="target tail index")
-    sim.add_argument("--delta", type=float, default=0.25, help="Burr shape (default 0.25)")
+    sim.add_argument("--delta", type=float, default=None, help="Burr shape (default 0.25)")
     sim.add_argument("--N", type=int, action="append", default=None,
                      help="pre-truncation size; repeat for several sizes")
     sim.add_argument("--reps", type=int, default=None, help="replicates per cell")
-    sim.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=WOODROOFE)
-    sim.add_argument("--theta", type=float, default=0.3)
+    sim.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=None,
+                     help=f"product-limit variant (default {WOODROOFE})")
+    sim.add_argument("--theta", type=float, default=None,
+                     help="dispersion exponent for automatic k (default 0.3)")
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (required unless --config supplies one)")
-    sim.add_argument("--threads", type=int, default=None,
-                     help=f"worker processes (default ${_THREADS_ENV} or 1); "
-                          "does not affect results")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker processes (default 1); does not affect results")
     sim.add_argument("--out", default="study", metavar="PREFIX",
                      help="output prefix for .csv/.json/.manifest.json (default study)")
 
@@ -287,7 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _simulate_params(args) -> dict:
     if args.config is not None:
         for flag, value in (("--p", args.p), ("--gamma1", args.gamma1),
-                            ("--N", args.N), ("--reps", args.reps)):
+                            ("--delta", args.delta), ("--N", args.N),
+                            ("--reps", args.reps), ("--variant", args.variant),
+                            ("--theta", args.theta)):
             if value is not None:
                 raise ValueError(f"{flag} conflicts with --config")
         with open(args.config) as fh:
@@ -305,16 +303,16 @@ def _simulate_params(args) -> dict:
                              "(or pass --config)")
         config = StudyConfig.from_dict({
             "cells": [{"p": args.p, "gamma1": args.gamma1,
-                       "delta": args.delta, "N": args.N}],
+                       "delta": 0.25 if args.delta is None else args.delta,
+                       "N": args.N}],
             "replicates": args.reps,
-            "variant": args.variant,
-            "theta": args.theta,
+            "variant": args.variant or WOODROOFE,
+            "theta": 0.3 if args.theta is None else args.theta,
             "master_seed": args.seed,
         })
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
+    if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    return {"config": config.to_dict(), "threads": threads, "out": args.out}
+    return {"config": config.to_dict(), "threads": args.threads, "out": args.out}
 
 
 def main(argv=None) -> int:

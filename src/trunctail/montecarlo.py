@@ -18,13 +18,13 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 from .distributions import burr
 from .errors import DegenerateTailError, EmptySampleError
 from .product_limit import LYNDEN_BELL, WOODROOFE
 from .seeding import stable_key
-from .tail_index import default_k_max, gamma1_path, select_k_dispersion
+from .tail_index import gamma1_path, select_k_dispersion
 from .truncation import TruncationModel, gamma2_for_target_p
 
 __all__ = [
@@ -143,7 +143,7 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyRow:
-    """Aggregates for one (p, gamma1, N) combination."""
+    """Aggregates for one (p, gamma1, N) combination, in CSV_HEADER order."""
 
     p: float
     gamma1: float
@@ -155,16 +155,7 @@ class StudyRow:
     completed: int
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "gamma1": self.gamma1,
-            "N": self.big_n,
-            "mean_n": self.mean_n,
-            "mean_k_star": self.mean_k_star,
-            "abs_bias": self.abs_bias,
-            "rmse": self.rmse,
-            "completed": self.completed,
-        }
+        return dict(zip(CSV_HEADER, astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -175,12 +166,7 @@ class StudyReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            writer.writerow([
-                repr(row.p), repr(row.gamma1), row.big_n,
-                repr(row.mean_n), repr(row.mean_k_star),
-                repr(row.abs_bias), repr(row.rmse), row.completed,
-            ])
+        writer.writerows(map(astuple, self.rows))   # floats are written by repr
         return out.getvalue()
 
     def to_csv(self, path) -> None:
@@ -189,11 +175,6 @@ class StudyReport:
 
     def to_dict(self) -> dict:
         return {"rows": [row.to_dict() for row in self.rows]}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _run_replicate(args) -> tuple[int, int, float] | None:
@@ -205,10 +186,10 @@ def _run_replicate(args) -> tuple[int, int, float] | None:
         sample = model.sample(big_n, rep_seed)
     except EmptySampleError:
         return None
-    if sample.n < _MIN_OBSERVED or default_k_max(sample.n) < 4:
+    if sample.n < _MIN_OBSERVED:
         return None
     path = gamma1_path(sample, variant)
-    k_star = select_k_dispersion(path, theta, 2, default_k_max(sample.n))
+    k_star = select_k_dispersion(path, theta)
     return sample.n, k_star, float(path[k_star])
 
 

@@ -19,7 +19,9 @@ Threshold choice uses a dispersion criterion: k* minimizes the
 i^theta-weighted mean absolute deviation of the estimator path from
 its running median.  Prefixes with fewer than two summands are
 excluded (a singleton's deviation from its own median is identically
-zero, which would otherwise pin the argmin at the smallest k).  One
+zero, which would otherwise pin the argmin at the smallest k).  The
+scan range lives in select_k_dispersion's defaults alone, which every
+caller that selects k* uses.  One
 running-median pass scores every k in O(n log n); only the thresholds
 whose score could reach the minimum within the pass's rounding error
 are re-scored from the definition, so the choice is exactly that of a
@@ -35,7 +37,7 @@ from scipy import integrate, stats
 
 from .errors import DegenerateTailError, ModelViolationError, NumericError
 from .product_limit import WOODROOFE, fit_product_limit
-from .truncation import TruncatedSample
+from .truncation import TruncatedSample, _data_rows
 
 __all__ = [
     "ConfidenceInterval",
@@ -75,6 +77,7 @@ class TailIndexEstimate:
         sigma2_hat: plug-in limiting variance.
         ci: plug-in confidence interval, if computable.
         warnings: human-readable caveats accumulated while estimating.
+        path: the gamma1_path the estimate was read from, if kept; not reported.
     """
 
     gamma1_hat: float
@@ -86,6 +89,7 @@ class TailIndexEstimate:
     sigma2_hat: float | None = None
     ci: ConfidenceInterval | None = None
     warnings: list = field(default_factory=list)
+    path: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """JSON-ready report with a fixed key set."""
@@ -107,8 +111,9 @@ class TailIndexEstimate:
 
 
 def _check_positive(values: np.ndarray):
-    if np.any(values <= 0.0):
-        raise ValueError("all sample values must be > 0 to take logs")
+    bad = values <= 0.0
+    if np.any(bad):
+        raise ValueError(f"value <= 0 at data row(s) {_data_rows(bad)}; cannot take logs")
 
 
 def gamma1_path(sample: TruncatedSample, variant: str = WOODROOFE) -> np.ndarray:
@@ -240,11 +245,15 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
         path: estimator values indexed by threshold, as returned by
             gamma1_path or hill_path.
         theta: dispersion exponent in [0, 0.5].
-        k_min, k_max: scan range, 2 <= k_min < k_max < n.
+        k_min, k_max: scan range, 2 <= k_min < k_max < n.  The defaults,
+            [4, default_k_max(n)], are the package's one scan range; an
+            n <= 5 leaves it empty and raises DegenerateTailError.
     """
     n = path.shape[0]
     if k_max is None:
         k_max = default_k_max(n)
+        if k_min == 2 and k_max < 4:      # the default range [4, k_max] is empty
+            raise DegenerateTailError(f"sample too small for threshold selection (n={n})")
     if not (0.0 <= theta <= 0.5):
         raise ValueError("theta must lie in [0, 0.5]")
     if not 2 <= k_min < k_max < n:
@@ -435,7 +444,8 @@ def full_report(sample: TruncatedSample, k: int | None = None,
                 level: float | None = 0.95) -> TailIndexEstimate:
     """Estimate gamma1 with automatic threshold choice and plug-ins.
 
-    When k is omitted the dispersion criterion picks it.  A gamma2
+    When k is omitted the dispersion criterion picks it; the estimate
+    keeps the whole path as `path`, so no caller need refit it.  A gamma2
     plug-in and confidence interval are attached when the data allow;
     a truncation tail estimated at or below gamma1_hat is recorded as
     a model-violation warning and the interval is refused rather than
@@ -447,13 +457,10 @@ def full_report(sample: TruncatedSample, k: int | None = None,
         raise DegenerateTailError(f"need at least 3 observed pairs, got {n}")
     path = gamma1_path(sample, variant)
     if k is None:
-        k_max = default_k_max(n)
-        if k_max < 4:
-            raise DegenerateTailError(f"sample too small for threshold selection (n={n})")
-        k = select_k_dispersion(path, theta, 2, k_max)
+        k = select_k_dispersion(path, theta)
     elif not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    est = TailIndexEstimate(gamma1_hat=float(path[k]), k=int(k), variant=variant, n=n)
+    est = TailIndexEstimate(float(path[k]), int(k), variant, n, path=path)
     if not np.isfinite(est.gamma1_hat) or est.gamma1_hat <= 0:
         est.warnings.append(
             f"estimate {est.gamma1_hat!r} is not a positive real; "

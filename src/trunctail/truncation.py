@@ -14,7 +14,8 @@ Gauss-Kronrod then converges quickly with no tail cutoff to choose.
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -30,6 +31,11 @@ __all__ = [
 
 _QUAD_RTOL = 1e-8
 _TAG_TARGET, _TAG_TRUNCATOR = 1, 2
+
+
+def _data_rows(mask: np.ndarray) -> str:
+    """The 1-based data rows where mask holds, the first 20 of them."""
+    return ", ".join(str(i + 1) for i in np.flatnonzero(mask)[:20].tolist())
 
 
 @dataclass
@@ -57,10 +63,9 @@ class TruncatedSample:
             raise EmptySampleError("sample contains no pairs")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("sample values must be finite")
-        bad = np.nonzero(self.x > self.y)[0]
-        if bad.size:
-            rows = ", ".join(str(i + 1) for i in bad[:20])
-            raise ValueError(f"x > y at data row(s) {rows}")
+        bad = self.x > self.y
+        if np.any(bad):
+            raise ValueError(f"x > y at data row(s) {_data_rows(bad)}")
 
     @property
     def n(self) -> int:
@@ -138,7 +143,6 @@ class TruncationModel:
 
     f_model: HeavyTailModel
     g_model: HeavyTailModel
-    _p_cache: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.f_model.tail_index >= self.g_model.tail_index:
@@ -189,11 +193,9 @@ class TruncationModel:
         fun = lambda v: self.f_model.df(self.g_model.quantile(v))
         return _quad(fun, 0.0, 1.0, "truncation probability")
 
-    @property
+    @cached_property
     def p(self) -> float:
-        if self._p_cache is None:
-            self._p_cache = self.truncation_probability()
-        return self._p_cache
+        return self.truncation_probability()
 
     def observed_marginals(self, x: float):
         """Marginals of the observed pair at a point.

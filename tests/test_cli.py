@@ -12,7 +12,7 @@ import pytest
 
 import trunctail
 from trunctail import TruncatedSample, burr, gamma1_path, gamma2_for_target_p
-from trunctail import cli
+from trunctail import cli, limit_process, tail_index
 from trunctail.cli import main
 from trunctail.truncation import TruncationModel
 
@@ -63,6 +63,29 @@ def test_estimate_rejects_x_above_y(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "row(s) 2" in err
+
+
+def test_estimate_names_non_positive_rows(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    path.write_text("x,y\n1,3\n2,2.5\n0,6\n4,6\n")
+    code = main(["estimate", str(path)])
+    assert code == 2
+    assert "row(s) 3;" in capsys.readouterr().err
+
+
+def test_estimate_fits_the_product_limit_once(tmp_path, capsys, monkeypatch):
+    fits = []
+    real_fit = tail_index.fit_product_limit
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(tail_index, "fit_product_limit", counting_fit)
+    assert main(["estimate", _simulated_csv(tmp_path), "--json", str(tmp_path / "est.json"),
+                 "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert len(fits) == 1
+    capsys.readouterr()
 
 
 def test_estimate_rejects_malformed_csv(tmp_path, capsys):
@@ -232,15 +255,31 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_env_default_threads(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TRUNCTAIL_THREADS", "2")
+@pytest.mark.parametrize("flag,value", [("--variant", "lynden-bell"),
+                                        ("--theta", "0.1"), ("--delta", "0.5")])
+def test_simulate_config_rejects_inline_estimation_flags(tmp_path, capsys, flag, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"cells": [{"p": 0.7, "gamma1": 0.6, "N": 100}], "replicates": 2}))
+    assert main(["simulate", "--config", str(config), flag, value,
+                 "--out", str(tmp_path / "s")]) == 2
+    assert f"{flag} conflicts with --config" in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
+def test_simulate_inline_records_defaults_and_flags(tmp_path, capsys):
     args = ["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-            "--reps", "4", "--seed", "9"]
-    assert main(args + ["--out", str(tmp_path / "env")]) == 0
-    monkeypatch.delenv("TRUNCTAIL_THREADS")
-    assert main(args + ["--threads", "1", "--out", str(tmp_path / "plain")]) == 0
-    assert ((tmp_path / "env.csv").read_bytes()
-            == (tmp_path / "plain.csv").read_bytes())
+            "--reps", "2", "--seed", "1"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--variant", "lynden-bell", "--theta", "0.1", "--delta", "0.5",
+                        "--out", str(tmp_path / "set")]) == 0
+    plain = json.loads((tmp_path / "plain.manifest.json").read_text())["parameters"]
+    chosen = json.loads((tmp_path / "set.manifest.json").read_text())["parameters"]
+    assert plain["threads"] == 1
+    assert (plain["config"]["variant"], plain["config"]["theta"],
+            plain["config"]["cells"][0]["delta"]) == ("woodroofe", 0.3, 0.25)
+    assert (chosen["config"]["variant"], chosen["config"]["theta"],
+            chosen["config"]["cells"][0]["delta"]) == ("lynden-bell", 0.1, 0.5)
     capsys.readouterr()
 
 
@@ -308,6 +347,20 @@ def test_limit_check_rejects_bad_ordering(capsys):
                  "--paths", "100", "--m", "128", "--seed", "1"])
     assert code == 3
     assert "model violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--paths", "1"), ("--m", "1"), ("--gamma1", "-1")])
+def test_limit_check_bad_input_exits_2_before_any_thread_starts(capsys, monkeypatch,
+                                                                 flag, value):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the thread pool was started")
+
+    monkeypatch.setattr(limit_process, "ThreadPoolExecutor", no_pool)
+    args = {"--gamma1": "0.6", "--gamma2": "1.4", "--paths": "100", "--m": "128",
+            "--seed": "1", flag: value}
+    code = main(["limit-check"] + [part for item in args.items() for part in item])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_limit_check_requires_seed():

@@ -202,15 +202,16 @@ def test_report_csv_shape_and_round_trip():
 def test_report_files(tmp_path):
     report = StudyReport((StudyRow(0.7, 0.6, 100, 70.5, 9.25, 0.1, 0.3, 50),))
     csv_file = tmp_path / "out.csv"
-    json_file = tmp_path / "out.json"
     report.to_csv(csv_file)
-    report.to_json(json_file)
     assert csv_file.read_text() == (
         "p,gamma1,N,mean_n,mean_k_star,abs_bias,rmse,completed\n"
         "0.7,0.6,100,70.5,9.25,0.1,0.3,50\n"
     )
-    parsed = json.loads(json_file.read_text())
-    assert parsed == report.to_dict()
+    # the CSV columns and the JSON keys come from the one CSV_HEADER
+    assert report.to_dict() == {"rows": [{
+        "p": 0.7, "gamma1": 0.6, "N": 100, "mean_n": 70.5, "mean_k_star": 9.25,
+        "abs_bias": 0.1, "rmse": 0.3, "completed": 50}]}
+    assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
 
 def test_estimates_center_on_truth_in_study_cell():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,23 @@ def test_select_k_dispersion_validation():
     bad[10] = np.nan
     with pytest.raises(DegenerateTailError):
         select_k_dispersion(bad)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_select_k_dispersion_default_range_too_short_is_degenerate(n):
+    path = np.full(n, 0.7)
+    path[0] = np.nan
+    with pytest.raises(DegenerateTailError, match="too small"):
+        select_k_dispersion(path)
+
+
+def test_full_report_keeps_its_path_out_of_the_report():
+    sample = _truncated_sample(31)
+    est = full_report(sample)
+    assert est.path.tobytes() == gamma1_path(sample).tobytes()
+    assert est.gamma1_hat == est.path[est.k]
+    assert "path" not in est.to_dict() and "path" not in repr(est)
+    assert est == dataclasses.replace(est, path=None)
 
 
 def test_estimate_gamma2_matches_hill_of_y():

@@ -67,6 +67,14 @@ def test_truncation_probability_closed_form_cases():
         mixed.truncation_probability("closed")
 
 
+def test_truncation_probability_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4), 0.1)
+    model = _pair(0.7, 0.6)
+    assert model.p == pytest.approx(0.7, rel=1e-14)
+    assert "p" in vars(model)  # computed once, then cached
+
+
 def test_truncation_probability_quadrature_agrees_with_closed():
     for p, gamma1 in ((0.7, 0.6), (0.8, 0.6), (0.9, 0.8)):
         model = _pair(p, gamma1)
