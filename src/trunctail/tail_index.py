@@ -26,6 +26,10 @@ running-median pass scores every k in O(n log n); only the thresholds
 whose score could reach the minimum within the pass's rounding error
 are re-scored from the definition, so the choice is exactly that of a
 direct scan.
+
+scipy is imported inside the two functions that use it, so importing
+the package, or a run that asks for no interval and no quadrature,
+does not pay for loading it.
 """
 
 import heapq
@@ -33,7 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+# np.median imports numpy.ma on its first call; importing it with the module
+# lets forked study workers inherit it instead of loading it once per pool
+import numpy.ma  # noqa: F401
 
 from .errors import DegenerateTailError, ModelViolationError, NumericError
 from .product_limit import WOODROOFE, fit_product_limit
@@ -208,8 +214,10 @@ def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
+    from scipy.special import ndtri   # the normal quantile; bitwise equal to norm.ppf
+
     sigma2 = asymptotic_variance(estimate.gamma1_hat, gamma2_hat)
-    z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     half = z * math.sqrt(sigma2 / estimate.k)
     return ConfidenceInterval(level=level,
                               lower=estimate.gamma1_hat - half,
@@ -401,10 +409,18 @@ def estimate_gamma2(sample: TruncatedSample, k2: int | None = None,
 
     Returns:
         (gamma2_hat, k2).
+
+    Raises:
+        DegenerateTailError: if k2 is omitted and n <= 6, which leaves
+            no threshold above the floor to scan.
     """
     path = hill_path(sample.y)
     if k2 is None:
-        k2 = select_k_dispersion(path, theta, k_min=max(4, math.isqrt(sample.n)))
+        k_min = max(4, math.isqrt(sample.n))
+        if k_min >= default_k_max(sample.n):
+            raise DegenerateTailError(
+                f"sample too small for the gamma2 plug-in (n={sample.n})")
+        k2 = select_k_dispersion(path, theta, k_min=k_min)
     elif not 1 <= k2 < sample.n:
         raise ValueError(f"k2 must satisfy 1 <= k2 < n, got k2={k2}, n={sample.n}")
     return float(path[k2]), int(k2)
@@ -430,6 +446,8 @@ def generalized_statistic_complete(values, k: int, g, alpha: float) -> float:
     i = np.arange(1, k + 1)
     gi = np.asarray([float(g(t)) for t in i / (k + 1.0)])
     numerator = float(np.mean(gi * ratios ** alpha))
+    from scipy import integrate
+
     denom, abserr = integrate.quad(lambda x: float(g(x)) * (-np.log(x)) ** alpha,
                                    0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
     if not np.isfinite(denom) or abserr > 1e-8 * max(abs(denom), 1.0):

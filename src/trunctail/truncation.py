@@ -10,6 +10,8 @@ Quadrature note: the defining integrals are taken to the probability
 scale (substituting u = F(z) or v = G(z)), which maps each improper
 tail integral onto (0, 1) with a bounded smooth integrand; adaptive
 Gauss-Kronrod then converges quickly with no tail cutoff to choose.
+scipy.integrate is imported by the first quadrature, not with the
+module: same-family models have a closed-form p and never need it.
 """
 
 import csv
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import HeavyTailModel
 from .errors import EmptySampleError, NumericError
@@ -114,6 +115,8 @@ class TruncatedSample:
 
 
 def _quad(fun, lo, hi, what):
+    from scipy import integrate
+
     with warnings.catch_warnings():
         # the abserr check below is the convergence guard; QUADPACK's own
         # roundoff chatter on extreme-tail slivers is not actionable
@@ -150,7 +153,7 @@ class TruncationModel:
                 "truncation tail is not lighter than the target tail "
                 f"(gamma1={self.f_model.tail_index} >= gamma2={self.g_model.tail_index}); "
                 "limit theory does not apply",
-                stacklevel=2,
+                stacklevel=3,   # past the dataclass-generated __init__
             )
 
     @property

@@ -17,6 +17,13 @@ from trunctail.cli import main
 from trunctail.truncation import TruncationModel
 
 
+def _child_env(**extra):
+    """Environment for a child interpreter that imports this trunctail."""
+    src = str(Path(trunctail.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _three_pair_csv(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("x,y\n1,3\n2,2.5\n4,6\n")
@@ -102,6 +109,15 @@ def test_estimate_degenerate_without_threshold(tmp_path, capsys):
     code = main(["estimate", _complete_csv(tmp_path)])  # n=4, no --k
     assert code == 4
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_estimate_names_a_sample_too_small_for_gamma2(tmp_path, capsys):
+    code = main(["estimate", _complete_csv(tmp_path), "--k", "1"])  # n=4
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["gamma2_hat"] is None and out["ci"] is None
+    assert out["warnings"] == [
+        "gamma2 plug-in unavailable: sample too small for the gamma2 plug-in (n=4)"]
 
 
 def test_estimate_full_run_with_files(tmp_path, capsys):
@@ -328,12 +344,10 @@ def test_limit_check_json_file_and_replay(tmp_path, capsys):
 def test_limit_check_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at m = 2^14 a BLAS dot product is split over the BLAS threads, so
     # any weight reduction left on BLAS changes the last bits
-    src = str(Path(trunctail.__file__).resolve().parents[1])
     digests = set()
     for blas_threads in ("1", "2"):
         out_json = tmp_path / f"lc{blas_threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env(OPENBLAS_NUM_THREADS=blas_threads)
         subprocess.run([sys.executable, "-m", "trunctail.cli", "limit-check",
                         "--gamma1", "0.6", "--gamma2", "1.4", "--paths", "200",
                         "--m", "16384", "--seed", "12345", "--json", str(out_json)],
@@ -373,3 +387,45 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+csv_path, study_prefix, out_path = sys.argv[1:]
+seen = {}
+import trunctail
+seen["import trunctail"] = scipy_modules()
+import trunctail.cli
+seen["import trunctail.cli"] = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert trunctail.cli.main(["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
+                               "--paths", "200", "--m", "256", "--seed", "1"]) == 0
+    seen["limit-check"] = scipy_modules()
+    assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
+                               "--reps", "2", "--seed", "1", "--out", study_prefix]) == 0
+    seen["simulate"] = scipy_modules()
+    assert trunctail.cli.main(["estimate", csv_path]) == 0
+    seen["estimate"] = scipy_modules()
+trunctail.TruncationModel(trunctail.burr(0.25, 0.6), trunctail.pareto(1.4)).p
+seen["mixed-family p"] = scipy_modules()
+with open(out_path, "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
+    # a fresh interpreter, since this test process has scipy loaded already
+    out_path = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, _simulated_csv(tmp_path),
+                    str(tmp_path / "study"), str(out_path)],
+                   env=_child_env(), check=True, timeout=120)
+    seen = json.loads(out_path.read_text())
+    for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate"):
+        assert seen[step] == [], step
+    assert "scipy.special" in seen["estimate"]   # the interval's normal quantile
+    assert not {"scipy.stats", "scipy.integrate"} & set(seen["estimate"])
+    assert "scipy.integrate" in seen["mixed-family p"]

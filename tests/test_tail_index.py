@@ -138,6 +138,23 @@ def test_confidence_interval_frozen_example():
     assert ci.upper == pytest.approx(0.847809, abs=1e-5)
 
 
+def test_confidence_interval_quantile_is_bitwise_norm_ppf():
+    from scipy import stats   # the slow oracle; the package itself uses ndtri
+
+    # gamma1 just below gamma2 = 1 makes sigma about 2^78 gamma1_hat, so
+    # gamma1_hat vanishes from both bounds, which read -z * sigma and
+    # z * sigma: a z one ulp off moves a bound at every level here
+    gamma1, gamma2 = 1.0 - 2.0 ** -52, 1.0
+    est = TailIndexEstimate(gamma1_hat=gamma1, k=1, variant=WOODROOFE, n=10)
+    sigma = math.sqrt(asymptotic_variance(gamma1, gamma2))
+    levels = [0.5, 0.8, 0.9, 0.95, 0.99]
+    levels += np.random.default_rng(20150706).uniform(0.0, 1.0, 10_000).tolist()
+    for level in levels:
+        half = float(stats.norm.ppf(0.5 * (1.0 + level))) * sigma
+        ci = confidence_interval(est, gamma2, level)
+        assert (ci.lower, ci.upper) == (-half, half), level
+
+
 def test_confidence_interval_refuses_bad_ordering():
     est = TailIndexEstimate(gamma1_hat=0.9, k=50, variant=WOODROOFE, n=400)
     with pytest.raises(ModelViolationError):
@@ -207,6 +224,14 @@ def test_full_report_keeps_its_path_out_of_the_report():
     assert est.gamma1_hat == est.path[est.k]
     assert "path" not in est.to_dict() and "path" not in repr(est)
     assert est == dataclasses.replace(est, path=None)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_estimate_gamma2_names_a_sample_too_small_to_scan(n):
+    x = np.arange(1.0, n + 1.0)
+    with pytest.raises(DegenerateTailError, match=f"too small for the gamma2 plug-in \\(n={n}\\)"):
+        estimate_gamma2(TruncatedSample(x, x + 1.0))
+    assert estimate_gamma2(TruncatedSample(x, x + 1.0), k2=1)[1] == 1
 
 
 def test_estimate_gamma2_matches_hill_of_y():

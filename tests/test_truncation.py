@@ -135,8 +135,9 @@ def test_observed_tail_index_formula():
 
 
 def test_model_warns_when_ordering_violated():
-    with pytest.warns(UserWarning, match="gamma1"):
+    with pytest.warns(UserWarning, match="gamma1") as record:
         TruncationModel(pareto(1.4), pareto(0.6))
+    assert [w.filename for w in record] == [__file__]   # the caller's line
 
 
 def test_sample_reproducible_and_respects_truncation():
