@@ -11,11 +11,13 @@ the command, the fully resolved parameters, seeds, library version and
 input digests; `replay` reproduces the outputs bit-for-bit (only the
 manifest timestamp differs).
 
-Exit codes: 0 ok, 2 bad input, 3 model violation, 4 degenerate data,
-5 numeric failure.
+Exit codes, mapped from exceptions in `main` alone: 0 ok, 2 bad input
+(including unreadable input and unwritable output), 3 model violation,
+4 degenerate data, 5 numeric failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -81,26 +83,13 @@ def cmd_estimate(params: dict) -> int:
     input_path = params["input"]
     try:
         sample = TruncatedSample.from_csv(input_path)
-    except OSError as exc:
-        print(f"error: cannot read {input_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, EmptySampleError) as exc:
-        print(f"error: {input_path}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if sample.n < 3:
-        print(f"error: {input_path}: need at least 3 data rows, got {sample.n}",
-              file=sys.stderr)
-        return EXIT_INPUT
-    level = None if params["no_ci"] else params["level"]
-    try:
-        est = full_report(sample, k=params["k"], variant=params["variant"],
-                          theta=params["theta"], level=level)
-    except DegenerateTailError as exc:
-        print(f"error: degenerate tail: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"{input_path}: {exc}") from None
+    if sample.n < 3:
+        raise ValueError(f"{input_path}: need at least 3 data rows, got {sample.n}")
+    level = None if params["no_ci"] else params["level"]
+    est = full_report(sample, k=params["k"], variant=params["variant"],
+                      theta=params["theta"], level=level)
 
     report_text = _dump_json(est.to_dict())
     outputs = []
@@ -131,11 +120,7 @@ def cmd_estimate(params: dict) -> int:
 
 def cmd_simulate(params: dict) -> int:
     """Run a study from a resolved config dict and write report files."""
-    try:
-        config = StudyConfig.from_dict(params["config"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    config = StudyConfig.from_dict(params["config"])
     report = run_study(config, workers=params["threads"])
     prefix = params["out"]
     csv_path, json_path = prefix + ".csv", prefix + ".json"
@@ -150,14 +135,8 @@ def cmd_simulate(params: dict) -> int:
 
 def cmd_limit_check(params: dict) -> int:
     """Compare the Monte Carlo limit variance against the closed form."""
-    try:
-        stats = mc_variance(params["gamma1"], params["gamma2"],
-                            params["paths"], params["m"], params["seed"])
-    except ModelViolationError:
-        raise
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    stats = mc_variance(params["gamma1"], params["gamma2"],
+                        params["paths"], params["m"], params["seed"])
     payload = stats.to_dict()
     payload["mc_variance"] = stats.variance
     payload["relative_error"] = abs(stats.variance / payload["sigma2_closed_form"] - 1.0)
@@ -172,50 +151,39 @@ def cmd_limit_check(params: dict) -> int:
     return EXIT_OK
 
 
-def cmd_replay(manifest_path: str, outdir: str | None) -> int:
+def cmd_replay(params: dict) -> int:
     """Re-run the command recorded in a manifest."""
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read manifest: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: manifest is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    command = manifest.get("command")
-    params = dict(manifest.get("parameters", {}))
-    for path, digest in manifest.get("input_digests", {}).items():
+    with open(params["manifest"]) as fh:
         try:
-            fresh = _sha256(path)
-        except OSError as exc:
-            print(f"error: manifest input missing: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        if fresh != digest:
-            print(f"error: input {path} changed since the manifest was written",
-                  file=sys.stderr)
-            return EXIT_INPUT
-
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"manifest is not valid JSON: {exc}") from None
+    command = manifest.get("command")
+    # str(): a JSON array or object is unhashable, and names no command
+    handler, output_keys = _COMMANDS.get(str(command), (None, ()))
+    if not output_keys:
+        raise ValueError(f"manifest has unknown command {command!r}")
+    for path, digest in manifest.get("input_digests", {}).items():
+        if _sha256(path) != digest:
+            raise ValueError(f"input {path} changed since the manifest was written")
+    recorded = dict(manifest.get("parameters", {}))
+    outdir = params["outdir"]
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
+        for key in output_keys:
+            if recorded.get(key) is not None:
+                recorded[key] = os.path.join(outdir, os.path.basename(recorded[key]))
+    return handler(recorded)
 
-    def remap(path):
-        if path is None or outdir is None:
-            return path
-        return os.path.join(outdir, os.path.basename(path))
 
-    if command == "estimate":
-        for key in ("json", "trace", "manifest"):
-            params[key] = remap(params.get(key))
-        return cmd_estimate(params)
-    if command == "simulate":
-        params["out"] = remap(params["out"])
-        return cmd_simulate(params)
-    if command == "limit-check":
-        params["json"] = remap(params.get("json"))
-        return cmd_limit_check(params)
-    print(f"error: manifest has unknown command {command!r}", file=sys.stderr)
-    return EXIT_INPUT
+# name: (handler, parameters that name output files, which replay --outdir
+# redirects); a command with no outputs writes no manifest to replay
+_COMMANDS = {
+    "estimate": (cmd_estimate, ("json", "trace", "manifest")),
+    "simulate": (cmd_simulate, ("out",)),
+    "limit-check": (cmd_limit_check, ("json",)),
+    "replay": (cmd_replay, ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,64 +248,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_params(args) -> dict:
-    if args.config is not None:
-        for flag, value in (("--p", args.p), ("--gamma1", args.gamma1),
-                            ("--delta", args.delta), ("--N", args.N),
-                            ("--reps", args.reps), ("--variant", args.variant),
-                            ("--theta", args.theta)):
-            if value is not None:
+# Inline simulate flags: (flag, StudyConfig key, required without --config).
+# --seed alone may also override a --config file.
+_STUDY_FLAGS = (("--p", "p", True), ("--gamma1", "gamma1", True),
+                ("--delta", "delta", False), ("--N", "N", True),
+                ("--reps", "replicates", True), ("--variant", "variant", False),
+                ("--theta", "theta", False), ("--seed", "master_seed", True))
+_CELL_KEYS = ("p", "gamma1", "delta", "N")
+
+
+def _simulate_params(params: dict) -> dict:
+    """Resolve the simulate flags into the config dict cmd_simulate runs."""
+    given = {key: params[flag[2:]] for flag, key, _ in _STUDY_FLAGS
+             if params[flag[2:]] is not None}
+    if params["config"] is not None:
+        for flag, key, _ in _STUDY_FLAGS:
+            if key in given and key != "master_seed":
                 raise ValueError(f"{flag} conflicts with --config")
-        with open(args.config) as fh:
+        with open(params["config"]) as fh:
             config = StudyConfig.from_json(fh.read())
-        if args.seed is not None:
-            config = StudyConfig(config.cells, config.replicates, config.variant,
-                                 config.theta, args.seed)
+        if "master_seed" in given:
+            config = dataclasses.replace(config, master_seed=given["master_seed"])
     else:
-        missing = [flag for flag, value in
-                   (("--p", args.p), ("--gamma1", args.gamma1),
-                    ("--N", args.N), ("--reps", args.reps), ("--seed", args.seed))
-                   if value is None]
+        missing = [flag for flag, key, required in _STUDY_FLAGS
+                   if required and key not in given]
         if missing:
             raise ValueError(f"missing required flag(s) {', '.join(missing)} "
                              "(or pass --config)")
-        config = StudyConfig.from_dict({
-            "cells": [{"p": args.p, "gamma1": args.gamma1,
-                       "delta": 0.25 if args.delta is None else args.delta,
-                       "N": args.N}],
-            "replicates": args.reps,
-            "variant": args.variant or WOODROOFE,
-            "theta": 0.3 if args.theta is None else args.theta,
-            "master_seed": args.seed,
-        })
-    if args.threads < 1:
+        cell = {key: given.pop(key) for key in _CELL_KEYS if key in given}
+        config = StudyConfig.from_dict({"cells": [cell], **given})
+    if params["threads"] < 1:
         raise ValueError("--threads must be >= 1")
-    return {"config": config.to_dict(), "threads": args.threads, "out": args.out}
+    return {"config": config.to_dict(), "threads": params["threads"], "out": params["out"]}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    params = vars(_build_parser().parse_args(argv))
+    command = params.pop("command")
     try:
-        if args.command == "estimate":
-            return cmd_estimate({
-                "input": args.input, "k": args.k, "variant": args.variant,
-                "theta": args.theta, "level": args.level, "no_ci": args.no_ci,
-                "json": args.json, "trace": args.trace, "manifest": args.manifest,
-            })
-        if args.command == "simulate":
-            try:
-                params = _simulate_params(args)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
-            return cmd_simulate(params)
-        if args.command == "limit-check":
-            return cmd_limit_check({
-                "gamma1": args.gamma1, "gamma2": args.gamma2,
-                "paths": args.paths, "m": args.m, "seed": args.seed,
-                "json": args.json,
-            })
-        return cmd_replay(args.manifest, args.outdir)
+        if command == "simulate":
+            params = _simulate_params(params)
+        return _COMMANDS[command][0](params)
     except ModelViolationError as exc:
         print(f"error: model violation: {exc}", file=sys.stderr)
         return EXIT_MODEL
@@ -347,6 +298,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (OSError, ValueError) as exc:  # after the ValueError subclasses above
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -135,15 +135,18 @@ def gamma1_path(sample: TruncatedSample, variant: str = WOODROOFE) -> np.ndarray
     """
     _check_positive(sample.x)
     fit = fit_product_limit(sample, variant)
-    n = fit.n
-    z = fit.atoms[::-1]                      # descending order statistics
-    w = (fit.df_at_atoms / fit.coverage)[::-1]
-    logz = np.log(z)
-    num = np.cumsum(w * logz)
-    den = np.cumsum(w)
-    path = np.full(n, np.nan)
-    ks = np.arange(1, n)
-    path[1:] = num[ks - 1] / den[ks - 1] - logz[ks]
+    return _weighted_hill_path(fit.atoms[::-1], (fit.df_at_atoms / fit.coverage)[::-1])
+
+
+def _weighted_hill_path(z_desc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """path[k] = sum_{i<k} w_i log z_i / sum_{i<k} w_i - log z_k; path[0] is NaN.
+
+    z_desc holds the order statistics in descending order and w their
+    weights; unit weights give the classical Hill path.
+    """
+    logz = np.log(z_desc)
+    path = np.full(z_desc.size, np.nan)
+    path[1:] = np.cumsum(w * logz)[:-1] / np.cumsum(w)[:-1] - logz[1:]
     return path
 
 
@@ -169,13 +172,7 @@ def hill_path(values) -> np.ndarray:
     if v.ndim != 1 or v.size < 2:
         raise ValueError("need a 1-d sample with at least two values")
     _check_positive(v)
-    z = np.sort(v)[::-1]
-    logz = np.log(z)
-    n = v.size
-    path = np.full(n, np.nan)
-    ks = np.arange(1, n)
-    path[1:] = np.cumsum(logz)[ks - 1] / ks - logz[ks]
-    return path
+    return _weighted_hill_path(np.sort(v)[::-1], np.ones(v.size))
 
 
 def hill(values, k: int) -> float:

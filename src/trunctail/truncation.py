@@ -84,13 +84,13 @@ class TruncatedSample:
             writer.writerow([repr(float(xi)), repr(float(yi))])
 
     @classmethod
-    def from_csv(cls, path, big_n=None, seed=None) -> "TruncatedSample":
+    def from_csv(cls, path) -> "TruncatedSample":
         """Read pairs from a CSV file with header x,y."""
         with open(path, "r", newline="") as fh:
-            return cls.read_csv(fh, big_n=big_n, seed=seed)
+            return cls.read_csv(fh)
 
     @classmethod
-    def read_csv(cls, fh, big_n=None, seed=None) -> "TruncatedSample":
+    def read_csv(cls, fh) -> "TruncatedSample":
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -111,7 +111,7 @@ class TruncatedSample:
                 raise ValueError(f"data row {lineno}: non-numeric value") from None
         if not xs:
             raise ValueError("CSV contains no data rows")
-        return cls(np.array(xs), np.array(ys), big_n=big_n, seed=seed)
+        return cls(np.array(xs), np.array(ys))
 
 
 def _quad(fun, lo, hi, what):

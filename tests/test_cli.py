@@ -105,6 +105,13 @@ def test_estimate_rejects_malformed_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_unwritable_output_exits_2(tmp_path, capsys):
+    out_json = tmp_path / "absent" / "r.json"
+    assert main(["estimate", _simulated_csv(tmp_path), "--json", str(out_json)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_json.parent.exists()
+
+
 def test_estimate_degenerate_without_threshold(tmp_path, capsys):
     code = main(["estimate", _complete_csv(tmp_path)])  # n=4, no --k
     assert code == 4
@@ -209,6 +216,13 @@ def test_replay_rejects_garbage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_replay_rejects_unknown_command(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"command": "frobnicate", "parameters": {}}))
+    assert main(["replay", str(manifest)]) == 2
+    assert "'frobnicate'" in capsys.readouterr().err
+
+
 def test_estimate_model_violation_still_prints(tmp_path, capsys):
     rng = np.random.default_rng(7)
     x = np.exp(rng.normal(size=60) * 2.0)
@@ -272,7 +286,8 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--variant", "lynden-bell"),
-                                        ("--theta", "0.1"), ("--delta", "0.5")])
+                                        ("--theta", "0.1"), ("--delta", "0.5"),
+                                        ("--reps", "3")])
 def test_simulate_config_rejects_inline_estimation_flags(tmp_path, capsys, flag, value):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(
@@ -280,6 +295,14 @@ def test_simulate_config_rejects_inline_estimation_flags(tmp_path, capsys, flag,
     assert main(["simulate", "--config", str(config), flag, value,
                  "--out", str(tmp_path / "s")]) == 2
     assert f"{flag} conflicts with --config" in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
+def test_simulate_all_replicates_degenerate_exits_4(tmp_path, capsys):
+    # N=5 never keeps the 10 observed pairs a replicate needs
+    assert main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "5",
+                 "--reps", "3", "--seed", "1", "--out", str(tmp_path / "s")]) == 4
+    assert "degenerate" in capsys.readouterr().err
     assert not (tmp_path / "s.manifest.json").exists()
 
 
