@@ -151,6 +151,13 @@ def cmd_limit_check(params: dict) -> int:
     return EXIT_OK
 
 
+class _RecordedParameters(dict):
+    """A manifest's parameters; a key the handler reads but the manifest lacks is bad input."""
+
+    def __missing__(self, key):
+        raise ValueError(f"manifest parameters lack {key!r}")
+
+
 def cmd_replay(params: dict) -> int:
     """Re-run the command recorded in a manifest."""
     with open(params["manifest"]) as fh:
@@ -158,15 +165,22 @@ def cmd_replay(params: dict) -> int:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
     command = manifest.get("command")
     # str(): a JSON array or object is unhashable, and names no command
     handler, output_keys = _COMMANDS.get(str(command), (None, ()))
     if not output_keys:
         raise ValueError(f"manifest has unknown command {command!r}")
-    for path, digest in manifest.get("input_digests", {}).items():
+    digests = manifest.get("input_digests", {})
+    recorded = manifest.get("parameters", {})
+    for key, value in (("input_digests", digests), ("parameters", recorded)):
+        if not isinstance(value, dict):
+            raise ValueError(f"manifest {key} must be a JSON object")
+    for path, digest in digests.items():
         if _sha256(path) != digest:
             raise ValueError(f"input {path} changed since the manifest was written")
-    recorded = dict(manifest.get("parameters", {}))
+    recorded = _RecordedParameters(recorded)
     outdir = params["outdir"]
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)

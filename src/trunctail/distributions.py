@@ -19,7 +19,6 @@ __all__ = [
     "burr",
     "pareto",
     "frechet",
-    "parse_model",
 ]
 
 _FAMILIES = ("burr", "pareto", "frechet")
@@ -126,27 +125,6 @@ class HeavyTailModel:
         u = rng.integers(1, 1 << 53, size=count) / float(1 << 53)
         return self.quantile(u)
 
-    def second_order_tau(self) -> float:
-        """Second-order regular variation rate exponent of this family.
-
-        The quantile tail U(t) = quantile(1 - 1/t) satisfies
-        (U(tx)/U(t) - x^g) / A(t) -> x^g (x^tau - 1)/tau with A
-        regularly varying of index tau.  Burr: tau = -tail_index/delta.
-        Frechet: tau = -1.  Pareto is an exact power law (A vanishes);
-        -inf is returned as the conventional sentinel.
-        """
-        if self.family == "burr":
-            return -self.tail_index / self.delta
-        if self.family == "pareto":
-            return float("-inf")
-        return -1.0
-
-    def spec_string(self) -> str:
-        """Round-trippable text form, e.g. 'burr:delta=0.25,gamma=0.6'."""
-        if self.family == "burr":
-            return f"burr:delta={self.delta!r},gamma={self.tail_index!r}"
-        return f"{self.family}:gamma={self.tail_index!r}"
-
 
 def burr(delta: float, tail_index: float) -> HeavyTailModel:
     """Burr model with survival (1 + x^(1/delta))^(-delta/tail_index)."""
@@ -161,36 +139,3 @@ def pareto(tail_index: float) -> HeavyTailModel:
 def frechet(tail_index: float) -> HeavyTailModel:
     """Frechet model with df exp(-x^(-1/tail_index)) on (0, inf)."""
     return HeavyTailModel("frechet", tail_index)
-
-
-def parse_model(text: str) -> HeavyTailModel:
-    """Parse a model spec string like 'burr:delta=0.25,gamma=0.6'.
-
-    Recognised forms:
-        burr:delta=<float>,gamma=<float>
-        pareto:gamma=<float>
-        frechet:gamma=<float>
-    """
-    head, sep, tail = text.strip().partition(":")
-    family = head.strip().lower()
-    if not sep or family not in _FAMILIES:
-        raise ValueError(f"cannot parse model spec {text!r}")
-    params = {}
-    for item in tail.split(","):
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise ValueError(f"cannot parse model spec {text!r}")
-        try:
-            params[key.strip().lower()] = float(val)
-        except ValueError:
-            raise ValueError(f"bad numeric value in model spec {text!r}") from None
-    if "gamma" not in params:
-        raise ValueError(f"model spec {text!r} is missing gamma")
-    gamma = params.pop("gamma")
-    if family == "burr":
-        if set(params) != {"delta"}:
-            raise ValueError(f"burr spec needs exactly delta and gamma, got {text!r}")
-        return burr(params["delta"], gamma)
-    if params:
-        raise ValueError(f"{family} spec takes only gamma, got {text!r}")
-    return HeavyTailModel(family, gamma)

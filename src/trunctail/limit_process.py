@@ -106,10 +106,6 @@ class WienerPath:
     def m(self) -> int:
         return self.grid.size - 1
 
-    def at(self, s):
-        """Linearly interpolated value(s) W(s) for s in [0, 1]."""
-        return np.interp(s, self.grid, self.values)
-
 
 def simulate_wiener(m: int, seed: int) -> WienerPath:
     """Simulate W on the uniform grid {j/m} with iid N(0, 1/m) increments."""

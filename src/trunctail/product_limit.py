@@ -33,7 +33,6 @@ __all__ = [
     "WOODROOFE",
     "LYNDEN_BELL",
     "ProductLimitFit",
-    "empirical_c",
     "fit_product_limit",
     "tail_process",
 ]
@@ -41,12 +40,6 @@ __all__ = [
 WOODROOFE = "woodroofe"
 LYNDEN_BELL = "lynden-bell"
 _VARIANTS = (WOODROOFE, LYNDEN_BELL)
-
-
-def empirical_c(sample: TruncatedSample, z: float) -> float:
-    """Coverage C_n(z) = n^-1 #{i: x_i <= z <= y_i}."""
-    z = float(z)
-    return float(np.mean((sample.x <= z) & (z <= sample.y)))
 
 
 @dataclass
@@ -66,8 +59,7 @@ class ProductLimitFit:
     n: int
     atoms: np.ndarray
     coverage: np.ndarray
-    _suffix_df: np.ndarray      # _suffix_df[j] = prod of factors for atoms >= j
-    _suffix_hazard: np.ndarray  # _suffix_hazard[j] = sum of 1/(n C_n) for atoms >= j
+    _suffix_df: np.ndarray  # _suffix_df[j] = prod of factors for atoms >= j
 
     @property
     def df_at_atoms(self) -> np.ndarray:
@@ -82,11 +74,6 @@ class ProductLimitFit:
     def survival(self, x):
         """1 - df(x).  Scalar or array."""
         out = 1.0 - self._suffix_df[np.searchsorted(self.atoms, x, side="right")]
-        return float(out) if np.ndim(x) == 0 else out
-
-    def cumulative_hazard(self, x):
-        """Sum of 1/(n C_n(atom)) over atoms strictly above x."""
-        out = self._suffix_hazard[np.searchsorted(self.atoms, x, side="right")]
         return float(out) if np.ndim(x) == 0 else out
 
 
@@ -107,9 +94,9 @@ def fit_product_limit(sample: TruncatedSample, variant: str = WOODROOFE) -> Prod
     counts = (np.searchsorted(xs, xs, side="right")
               - np.searchsorted(ys, xs, side="left")).astype(float)
     hazard_terms = 1.0 / counts
-    suffix_hazard = np.zeros(n + 1)
-    suffix_hazard[:n] = np.cumsum(hazard_terms[::-1])[::-1]
     if variant == WOODROOFE:
+        suffix_hazard = np.zeros(n + 1)
+        suffix_hazard[:n] = np.cumsum(hazard_terms[::-1])[::-1]
         suffix_df = np.exp(-suffix_hazard)
     else:
         suffix_df = np.ones(n + 1)
@@ -120,7 +107,6 @@ def fit_product_limit(sample: TruncatedSample, variant: str = WOODROOFE) -> Prod
         atoms=xs,
         coverage=counts / n,
         _suffix_df=suffix_df,
-        _suffix_hazard=suffix_hazard,
     )
 
 

@@ -27,9 +27,9 @@ whose score could reach the minimum within the pass's rounding error
 are re-scored from the definition, so the choice is exactly that of a
 direct scan.
 
-scipy is imported inside the two functions that use it, so importing
-the package, or a run that asks for no interval and no quadrature,
-does not pay for loading it.
+scipy is imported inside confidence_interval, the one function that
+uses it, so importing the package, or a run that asks for no
+interval, does not pay for loading it.
 """
 
 import heapq
@@ -41,7 +41,7 @@ import numpy as np
 # lets forked study workers inherit it instead of loading it once per pool
 import numpy.ma  # noqa: F401
 
-from .errors import DegenerateTailError, ModelViolationError, NumericError
+from .errors import DegenerateTailError, ModelViolationError
 from .product_limit import WOODROOFE, fit_product_limit
 from .truncation import TruncatedSample, _data_rows
 
@@ -55,7 +55,6 @@ __all__ = [
     "full_report",
     "gamma1_estimate",
     "gamma1_path",
-    "generalized_statistic_complete",
     "hill",
     "hill_path",
     "select_k_dispersion",
@@ -423,37 +422,6 @@ def estimate_gamma2(sample: TruncatedSample, k2: int | None = None,
     return float(path[k2]), int(k2)
 
 
-def generalized_statistic_complete(values, k: int, g, alpha: float) -> float:
-    """Weighted power-mean of log ratios over its continuous normalizer.
-
-    Computes
-        [(1/k) sum_{i=1..k} g(i/(k+1)) (log X_(n-i+1)/X_(n-k))^alpha]
-        / int_0^1 g(x) (-log x)^alpha dx
-    for complete (untruncated) data.  With g == 1 and alpha = 1 this is
-    exactly the Hill estimator.
-    """
-    v = np.asarray(values, dtype=float)
-    if not 1 <= k < v.size:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={v.size}")
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be > 0")
-    _check_positive(v)
-    z = np.sort(v)[::-1]
-    ratios = np.log(z[:k] / z[k])
-    i = np.arange(1, k + 1)
-    gi = np.asarray([float(g(t)) for t in i / (k + 1.0)])
-    numerator = float(np.mean(gi * ratios ** alpha))
-    from scipy import integrate
-
-    denom, abserr = integrate.quad(lambda x: float(g(x)) * (-np.log(x)) ** alpha,
-                                   0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    if not np.isfinite(denom) or abserr > 1e-8 * max(abs(denom), 1.0):
-        raise NumericError(f"normalizer quadrature failed (value={denom!r}, abserr={abserr!r})")
-    if abs(denom) < 1e-12:
-        raise ValueError("normalizing integral vanishes for this weight function")
-    return numerator / denom
-
-
 def full_report(sample: TruncatedSample, k: int | None = None,
                 variant: str = WOODROOFE, theta: float = 0.3,
                 level: float | None = 0.95) -> TailIndexEstimate:
@@ -484,7 +452,7 @@ def full_report(sample: TruncatedSample, k: int | None = None,
     try:
         g2, k2 = estimate_gamma2(sample, theta=theta)
         est.gamma2_hat, est.k2 = g2, k2
-    except (ValueError, DegenerateTailError) as exc:
+    except DegenerateTailError as exc:
         est.warnings.append(f"gamma2 plug-in unavailable: {exc}")
         return est
     if level is None:

@@ -46,14 +46,10 @@ class TruncatedSample:
     Attributes:
         x: observed target values, shape (n,).
         y: observed truncation values, shape (n,).
-        big_n: number of pairs generated before truncation, if known.
-        seed: seed used to generate the sample, if known.
     """
 
     x: np.ndarray
     y: np.ndarray
-    big_n: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -176,29 +172,22 @@ class TruncationModel:
             return True
         return f.family == "burr" and g.family == "burr" and f.delta == g.delta
 
-    def truncation_probability(self, method: str = "auto") -> float:
-        """p = P(X <= Y) for independent X ~ F, Y ~ G.
-
-        Args:
-            method: "closed" forces the closed form (available when the
-                two marginals share a family and, for Burr, a delta, in
-                which case p = gamma2/(gamma1+gamma2)); "quadrature"
-                forces numeric integration of P(X <= Y) = E[F(Y)];
-                "auto" picks the closed form when it applies.
-        """
-        if method not in ("auto", "closed", "quadrature"):
-            raise ValueError(f"unknown method {method!r}")
-        closed_ok = self._has_closed_form_p()
-        if method == "closed" and not closed_ok:
-            raise ValueError("no closed form for this model pair")
-        if method in ("closed", "auto") and closed_ok:
-            return self.gamma2 / (self.gamma1 + self.gamma2)
+    def _quadrature_p(self) -> float:
+        """P(X <= Y) = E[F(Y)], integrated numerically."""
         fun = lambda v: self.f_model.df(self.g_model.quantile(v))
         return _quad(fun, 0.0, 1.0, "truncation probability")
 
     @cached_property
     def p(self) -> float:
-        return self.truncation_probability()
+        """p = P(X <= Y) for independent X ~ F, Y ~ G.
+
+        When the two marginals share a family and, for Burr, a delta,
+        p = gamma2/(gamma1+gamma2) in closed form; otherwise p is
+        integrated numerically.
+        """
+        if self._has_closed_form_p():
+            return self.gamma2 / (self.gamma1 + self.gamma2)
+        return self._quadrature_p()
 
     def observed_marginals(self, x: float):
         """Marginals of the observed pair at a point.
@@ -250,7 +239,7 @@ class TruncationModel:
             raise EmptySampleError(
                 f"all {big_n} generated pairs were rejected by truncation"
             )
-        return TruncatedSample(x[keep], y[keep], big_n=big_n, seed=seed)
+        return TruncatedSample(x[keep], y[keep])
 
 
 def gamma2_for_target_p(gamma1: float, p: float) -> float:

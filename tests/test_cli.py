@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import trunctail
-from trunctail import TruncatedSample, burr, gamma1_path, gamma2_for_target_p
+from trunctail import (TruncatedSample, burr, full_report, gamma1_path,
+                       gamma2_for_target_p)
 from trunctail import cli, limit_process, tail_index
 from trunctail.cli import main
 from trunctail.truncation import TruncationModel
@@ -127,6 +128,18 @@ def test_estimate_names_a_sample_too_small_for_gamma2(tmp_path, capsys):
         "gamma2 plug-in unavailable: sample too small for the gamma2 plug-in (n=4)"]
 
 
+def test_estimate_rejects_theta_out_of_range_with_fixed_k(tmp_path, capsys):
+    # theta also drives the gamma2 threshold scan, so a fixed --k does not
+    # make a bad --theta harmless: it is bad input, as it is without --k
+    data = _simulated_csv(tmp_path)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 0.5\]"):
+        full_report(TruncatedSample.from_csv(data), k=50, theta=0.9)
+    assert main(["estimate", data, "--k", "50", "--theta", "0.9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "theta must lie in [0, 0.5]" in captured.err
+
+
 def test_estimate_full_run_with_files(tmp_path, capsys):
     data = _simulated_csv(tmp_path)
     out_json = str(tmp_path / "est.json")
@@ -221,6 +234,22 @@ def test_replay_rejects_unknown_command(tmp_path, capsys):
     manifest.write_text(json.dumps({"command": "frobnicate", "parameters": {}}))
     assert main(["replay", str(manifest)]) == 2
     assert "'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("manifest, problem", [
+    ([1], "manifest must be a JSON object"),
+    ({"command": "estimate", "parameters": []}, "manifest parameters must be a JSON object"),
+    ({"command": "estimate", "parameters": {}, "input_digests": []},
+     "manifest input_digests must be a JSON object"),
+    ({"command": "estimate", "parameters": {}}, "manifest parameters lack 'input'"),
+    ({"command": "limit-check", "parameters": {"gamma1": 0.6}},
+     "manifest parameters lack 'gamma2'"),
+], ids=["not-an-object", "parameters-array", "digests-array", "no-input", "no-gamma2"])
+def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest, problem):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
 
 
 def test_estimate_model_violation_still_prints(tmp_path, capsys):

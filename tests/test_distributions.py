@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trunctail import burr, frechet, pareto, parse_model
+from trunctail import burr, frechet, pareto
 from trunctail.distributions import HeavyTailModel
 
 
@@ -85,33 +85,6 @@ def test_sample_reproducible_and_distributed():
         assert gap < 1.7 / math.sqrt(2000)
 
 
-def test_second_order_tau_burr_numeric():
-    # U(t) = quantile(1 - 1/t); h(t) = U(2t)/U(t) - 2^gamma decays like t^tau
-    model = burr(0.25, 0.6)
-    u = lambda t: model.quantile(1.0 - 1.0 / t)
-    t1, t2 = 10.0 ** 1.5, 10.0 ** 3
-    h1 = u(2 * t1) / u(t1) - 2.0 ** model.tail_index
-    h2 = u(2 * t2) / u(t2) - 2.0 ** model.tail_index
-    slope = math.log(abs(h2) / abs(h1)) / math.log(t2 / t1)
-    assert model.second_order_tau() == pytest.approx(-0.6 / 0.25, abs=1e-12)
-    assert slope == pytest.approx(-2.4, abs=0.02)
-
-
-def test_second_order_tau_frechet_numeric():
-    model = frechet(0.8)
-    u = lambda t: model.quantile(1.0 - 1.0 / t)
-    t1, t2 = 1e2, 1e4
-    h1 = u(2 * t1) / u(t1) - 2.0 ** model.tail_index
-    h2 = u(2 * t2) / u(t2) - 2.0 ** model.tail_index
-    slope = math.log(abs(h2) / abs(h1)) / math.log(t2 / t1)
-    assert model.second_order_tau() == -1.0
-    assert slope == pytest.approx(-1.0, abs=0.01)
-
-
-def test_second_order_tau_pareto_sentinel():
-    assert pareto(0.5).second_order_tau() == float("-inf")
-
-
 def test_constructor_validation():
     with pytest.raises(ValueError):
         HeavyTailModel("cauchy", 1.0)
@@ -127,18 +100,3 @@ def test_constructor_validation():
         pareto(1.0).quantile(0.0)
     with pytest.raises(ValueError):
         pareto(1.0).survival(-1.0)
-
-
-def test_parse_model_round_trip():
-    for model in (burr(0.25, 0.6), pareto(0.5), frechet(0.8)):
-        again = parse_model(model.spec_string())
-        assert again == model
-    assert parse_model("burr:delta=0.25,gamma=0.6") == burr(0.25, 0.6)
-    assert parse_model(" PARETO:gamma=1.5 ") == pareto(1.5)
-
-
-def test_parse_model_rejects_malformed():
-    for text in ("burr", "burr:delta=0.25", "pareto:gamma=x",
-                 "weibull:gamma=1", "pareto:gamma=1,delta=2"):
-        with pytest.raises(ValueError):
-            parse_model(text)

@@ -31,8 +31,8 @@ def test_wiener_path_validation():
         WienerPath(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 0.3]))
     path = WienerPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, -1.0]))
     assert path.m == 2
-    assert path.at(0.25) == pytest.approx(0.5, rel=1e-15)
-    assert path.at(0.75) == pytest.approx(0.0, abs=1e-15)
+    assert np.interp(0.25, path.grid, path.values) == pytest.approx(0.5, rel=1e-15)
+    assert np.interp(0.75, path.grid, path.values) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_simulate_wiener_moments():
@@ -40,7 +40,7 @@ def test_simulate_wiener_moments():
     assert abs(np.mean(ends)) < 0.09
     assert abs(np.var(ends) - 1.0) < 0.11
     # independent increments: W(1/2) and W(1) - W(1/2) uncorrelated
-    halves = np.array([simulate_wiener(64, seed=s).at(0.5) for s in range(1500)])
+    halves = np.array([simulate_wiener(64, seed=s).values[32] for s in range(1500)])
     late = ends - halves
     assert abs(np.var(halves) - 0.5) < 0.07
     assert abs(np.mean(halves * late)) < 0.05

@@ -4,9 +4,25 @@ import numpy as np
 import pytest
 
 from trunctail import (LYNDEN_BELL, WOODROOFE, DegenerateTailError,
-                       TruncatedSample, burr, empirical_c, fit_product_limit,
+                       TruncatedSample, burr, fit_product_limit,
                        gamma2_for_target_p, tail_process)
 from trunctail.truncation import TruncationModel
+
+
+def _coverage_count(sample, z):
+    """n C_n(z) = #{i: x_i <= z <= y_i}, counted from the definition."""
+    return int(np.sum((sample.x <= z) & (z <= sample.y)))
+
+
+def empirical_c(sample, z):
+    """Coverage C_n(z) = n^-1 #{i: x_i <= z <= y_i}: the oracle for ProductLimitFit.coverage."""
+    return _coverage_count(sample, z) / sample.n
+
+
+def _hazard(sample, x):
+    """Sum of 1/(n C_n(a)) over atoms a > x, added from the largest atom down."""
+    above = np.sort(sample.x[sample.x > x])[::-1]
+    return sum((1.0 / _coverage_count(sample, a) for a in above.tolist()), 0.0)
 
 
 def _three_pairs():
@@ -31,19 +47,33 @@ def test_empirical_c_frozen_values():
     assert empirical_c(s, 7.0) == 0.0
 
 
+def test_coverage_matches_empirical_c_at_every_atom():
+    tied = TruncatedSample(np.array([1.0, 2.0, 2.0, 4.0, 4.0, 4.0]),
+                           np.array([5.0, 2.0, 6.0, 4.0, 8.0, 4.0]))
+    samples = [_random_truncated(seed) for seed in (1, 2, 3)] + [tied]
+    for sample in samples:
+        for variant in (WOODROOFE, LYNDEN_BELL):
+            fit = fit_product_limit(sample, variant)
+            oracle = [empirical_c(sample, a) for a in fit.atoms.tolist()]
+            assert np.array_equal(fit.coverage, oracle)
+
+
 def test_woodroofe_complete_frozen_value():
-    fit = fit_product_limit(_complete([1.0, 2.0, 4.0, 8.0]), WOODROOFE)
+    sample = _complete([1.0, 2.0, 4.0, 8.0])
+    fit = fit_product_limit(sample, WOODROOFE)
     # atoms above 3 are {4, 8} with coverage 3/4 and 4/4
     expected = math.exp(-(1.0 / 3.0 + 1.0 / 4.0))
     assert fit.df(3.0) == pytest.approx(expected, rel=1e-15)
-    assert fit.cumulative_hazard(3.0) == pytest.approx(7.0 / 12.0, rel=1e-14)
+    assert _hazard(sample, 3.0) == pytest.approx(7.0 / 12.0, rel=1e-14)
 
 
 def test_woodroofe_df_is_exp_of_hazard():
     for seed in (1, 2, 3):
-        fit = fit_product_limit(_random_truncated(seed), WOODROOFE)
+        sample = _random_truncated(seed)
+        fit = fit_product_limit(sample, WOODROOFE)
         grid = np.concatenate(([0.0], fit.atoms, [fit.atoms[-1] * 2]))
-        assert np.array_equal(fit.df(grid), np.exp(-fit.cumulative_hazard(grid)))
+        hazard = np.array([_hazard(sample, x) for x in grid.tolist()])
+        assert np.array_equal(fit.df(grid), np.exp(-hazard))
 
 
 def test_lynden_bell_complete_equals_ecdf():
@@ -86,12 +116,13 @@ def test_woodroofe_dominates_lynden_bell():
 
 
 def test_df_bounds_and_survival():
-    fit = fit_product_limit(_random_truncated(9), WOODROOFE)
+    sample = _random_truncated(9)
+    fit = fit_product_limit(sample, WOODROOFE)
     grid = np.geomspace(1e-3, 1e5, 100)
     df = fit.df(grid)
     assert np.all((0.0 <= df) & (df <= 1.0))
     assert np.allclose(fit.survival(grid), 1.0 - df, rtol=0, atol=1e-15)
-    assert fit.df(0.0) == pytest.approx(np.exp(-fit.cumulative_hazard(0.0)), rel=1e-15)
+    assert fit.df(0.0) == pytest.approx(np.exp(-_hazard(sample, 0.0)), rel=1e-15)
 
 
 def test_fit_consistency_against_truth():

@@ -8,8 +8,7 @@ from trunctail import (LYNDEN_BELL, WOODROOFE, DegenerateTailError,
                        ModelViolationError, TruncatedSample, asymptotic_variance,
                        burr, confidence_interval, default_k_max, estimate_gamma2,
                        fit_product_limit, full_report, gamma1_estimate,
-                       gamma1_path, gamma2_for_target_p,
-                       generalized_statistic_complete, hill, hill_path,
+                       gamma1_path, gamma2_for_target_p, hill, hill_path,
                        select_k_dispersion)
 from trunctail.tail_index import TailIndexEstimate
 from trunctail.truncation import TruncationModel
@@ -241,26 +240,6 @@ def test_estimate_gamma2_matches_hill_of_y():
     assert k2 == 30
     g2_auto, k2_auto = estimate_gamma2(sample)
     assert g2_auto == pytest.approx(hill(sample.y, k2_auto), rel=1e-14)
-
-
-def test_generalized_statistic_frozen_values():
-    # g(x) = x, alpha = 1: numerator (2/3) log 2, normalizer 1/4
-    out = generalized_statistic_complete([1.0, 2.0, 4.0, 8.0], 2,
-                                         lambda x: x, 1.0)
-    assert out == pytest.approx((8.0 / 3.0) * math.log(2.0), rel=1e-9)
-    assert out == pytest.approx(1.8483924814931874, rel=1e-9)
-    # g == 1, alpha = 2: normalizer Gamma(3) = 2
-    out2 = generalized_statistic_complete([1.0, 2.0, 4.0, 8.0], 2,
-                                          lambda x: 1.0, 2.0)
-    assert out2 == pytest.approx(5.0 * math.log(2.0) ** 2 / 4.0, rel=1e-9)
-
-
-def test_generalized_statistic_reduces_to_hill():
-    rng = np.random.default_rng(77)
-    values = np.exp(rng.normal(size=50))
-    for k in (5, 20):
-        a = generalized_statistic_complete(values, k, lambda x: 1.0, 1.0)
-        assert a == pytest.approx(hill(values, k), rel=1e-9)
 
 
 def test_full_report_attaches_plugins():

@@ -59,12 +59,12 @@ def test_gamma2_for_target_p():
 
 
 def test_truncation_probability_closed_form_cases():
-    assert _pair(0.7, 0.6).truncation_probability("closed") == pytest.approx(0.7, rel=1e-14)
+    assert _pair(0.7, 0.6).p == pytest.approx(0.7, rel=1e-14)
     pp = TruncationModel(pareto(0.6), pareto(1.4))
-    assert pp.truncation_probability("closed") == pytest.approx(0.7, rel=1e-14)
+    assert pp.p == pytest.approx(0.7, rel=1e-14)
     mixed = TruncationModel(burr(0.25, 0.6), burr(0.5, 1.4))
-    with pytest.raises(ValueError):
-        mixed.truncation_probability("closed")
+    assert not mixed._has_closed_form_p()
+    assert mixed.p == mixed._quadrature_p()
 
 
 def test_truncation_probability_is_not_a_constructor_argument():
@@ -78,10 +78,10 @@ def test_truncation_probability_is_not_a_constructor_argument():
 def test_truncation_probability_quadrature_agrees_with_closed():
     for p, gamma1 in ((0.7, 0.6), (0.8, 0.6), (0.9, 0.8)):
         model = _pair(p, gamma1)
-        quad_p = model.truncation_probability("quadrature")
+        quad_p = model._quadrature_p()
         assert quad_p == pytest.approx(p, abs=1e-6)
     pp = TruncationModel(pareto(0.5), pareto(2.0))
-    assert pp.truncation_probability("quadrature") == pytest.approx(0.8, abs=1e-6)
+    assert pp._quadrature_p() == pytest.approx(0.8, abs=1e-6)
 
 
 def test_truncation_probability_mixed_families():
@@ -92,7 +92,7 @@ def test_truncation_probability_mixed_families():
     dens = lambda y: math.exp(-1.0 / y) / y ** 2
     direct, err = integrate.quad(lambda y: f.df(y) * dens(y), 0.0, np.inf)
     assert err < 1e-9
-    assert model.truncation_probability() == pytest.approx(direct, abs=1e-7)
+    assert model.p == pytest.approx(direct, abs=1e-7)
 
 
 def test_observed_target_survival_against_density_quadrature():
@@ -146,7 +146,6 @@ def test_sample_reproducible_and_respects_truncation():
     b = model.sample(400, seed=11)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.all(a.x <= a.y)
-    assert a.big_n == 400 and a.seed == 11
     assert not np.array_equal(a.x, model.sample(400, seed=12).x)
 
 
