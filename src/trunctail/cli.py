@@ -151,6 +151,32 @@ def cmd_limit_check(params: dict) -> int:
     return EXIT_OK
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _check_recorded(command: str, recorded: dict) -> None:
+    """Reject a recorded value the command's argument parser could never give."""
+    commands = next(action for action in _build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for action in commands.choices[command]._actions:
+        key = action.dest
+        # simulate records its resolved config, which StudyConfig.from_dict checks
+        if key not in recorded or (command, key) == ("simulate", "config"):
+            continue
+        value = recorded[key]
+        nullable = action.default is None and not action.required
+        if value is None and nullable:
+            continue
+        kind = bool if action.nargs == 0 else action.type or str
+        # a JSON integer also stands for a float; true and false stand only for flags
+        ok = (isinstance(value, (int, float) if kind is float else kind)
+              and (kind is bool or not isinstance(value, bool)))
+        if not ok or (action.choices is not None and value not in action.choices):
+            expected = (f"one of {list(action.choices)}" if action.choices is not None
+                        else _KINDS[kind]) + (" or null" if nullable else "")
+            raise ValueError(f"manifest parameter {key!r} must be {expected}, got {value!r}")
+
+
 class _RecordedParameters(dict):
     """A manifest's parameters; a key the handler reads but the manifest lacks is bad input."""
 
@@ -177,6 +203,7 @@ def cmd_replay(params: dict) -> int:
     for key, value in (("input_digests", digests), ("parameters", recorded)):
         if not isinstance(value, dict):
             raise ValueError(f"manifest {key} must be a JSON object")
+    _check_recorded(command, recorded)
     for path, digest in digests.items():
         if _sha256(path) != digest:
             raise ValueError(f"input {path} changed since the manifest was written")

@@ -22,10 +22,11 @@ excluded (a singleton's deviation from its own median is identically
 zero, which would otherwise pin the argmin at the smallest k).  The
 scan range lives in select_k_dispersion's defaults alone, which every
 caller that selects k* uses.  One
-running-median pass scores every k in O(n log n); only the thresholds
-whose score could reach the minimum within the pass's rounding error
-are re-scored from the definition, so the choice is exactly that of a
-direct scan.
+running-median pass scores every k in O(n log n): the heaps that track
+the median hold integer ranks alone, and the sums behind each score are
+vectorised.  Only the thresholds whose score could reach the minimum
+within the pass's rounding error are re-scored from the definition, so
+the choice is exactly that of a direct scan.
 
 scipy is imported inside confidence_interval, the one function that
 uses it, so importing the package, or a run that asks for no
@@ -241,9 +242,11 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
     three deviations from the running median is the smallest guard that
     makes the criterion informative.
 
-    Cost: O(n log n) for one running-median pass that scores every k,
-    plus O(k) for each re-scored candidate (see _rescore_candidates);
-    on continuous data that is rarely more than one.
+    Cost: O(n log n) for one running-median pass that scores every k
+    (a Python loop moves integer ranks through two heaps; sorting and
+    the score sums are numpy, see _running_scores), plus O(k) for each
+    re-scored candidate (see _rescore_candidates); on continuous data
+    that is rarely more than one.
 
     Args:
         path: estimator values indexed by threshold, as returned by
@@ -281,79 +284,99 @@ _ETA = 2.0 ** -1074    # smallest subnormal: the absolute error unit under under
 def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dispersion score of every prefix of seg in one pass, with error bounds.
 
-    Entry j belongs to k = j + 2, the prefix seg[:j+1].  A max-heap of
-    the lower half and a min-heap of the upper half track the median;
-    running sums of w and w*x per half give the score as
-    (S_hi - med W_hi + med W_lo - S_lo) / k.
+    Entry j belongs to k = j + 2, the prefix seg[:j+1].  One stable
+    argsort gives each value an integer rank (ties by index).  A
+    max-heap of the lower half and a min-heap of the upper half, both
+    of ranks alone, track the median; the loop records the rank of
+    max(lo) and of min(hi) after each step, and everything else is
+    vectorised.  A step changes the lower half in at most three ways:
+    the new element joins it, min(hi) moves in, or max(lo) moves out.
+    The lower-half sums S_lo = sum w*x and W_lo = sum w are cumulative
+    sums of those deltas, and with S_all and W_all the prefix totals
+    the score is
+
+        (S_all - 2 S_lo - med (W_all - 2 W_lo)) / k.
 
     bound[j] is a rigorous bound on |fast[j] - direct[j]|, where direct
     is the score as _rescore_candidates rounds it from the definition.
     Both differ from the exact score of the same floats and median (the
-    even-count median is fl(a + b) / 2 in both, as in np.median):
-      * each running sum takes at most 3 additions per step between the
-        two halves, each off by at most u times a partial sum, which is
-        bounded by the prefix total A(t) of |terms|: 4u sum_t A(t);
-      * each term w*x is rounded once: 2u A(s);
-      * the closing formula does 5 operations on terms bounded by
-        M = |S_hi| + |med W_hi| + |med W_lo| + |S_lo|: 8u M;
-      * the direct dot product of s terms, the subtraction and the
-        division are off by at most gamma_{s+2} times the exact score;
-      * underflow adds at most one subnormal unit per rounded product
-        or quotient.
-    The constants exceed the operation counts (4 for 3, 8 for 6), which
+    even-count median is fl(a + b) / 2 in both, as in np.median, and
+    lies between the halves, so the exact score is the formula above).
+    With u the unit roundoff, A(s) the prefix total of |w*x| and B(s)
+    that of w, k times the fast score's error is at most the sum of:
+      * S_all: one rounded addition per step, off by at most u times a
+        partial sum bounded by A(s): u sum_s A(s);
+      * S_lo: per step at most one rounded delta w*x_in - w*x_out of
+        two distinct terms and one rounded addition, each off by at most
+        u A(s), doubled in 2 S_lo: 4u sum_s A(s);
+      * W_all and W_lo alike, scaled by |med|: 5u |med| sum_s B(s);
+      * the rounding of each term w*x, counted once in S_hi - S_lo: u A;
+      * the closing formula's 5 operations (two differences, the product
+        with med, their difference and the division) on terms bounded by
+        M = |S_all| + 2 |S_lo| + |med| (W_all + 2 W_lo): 5u M;
+      * underflow: one subnormal unit per rounded product or quotient.
+    The direct dot product of s terms, the subtraction and the division
+    are off by at most gamma_{s+2} times the exact score.  The constants
+    used, 6, 2 and 8 for 5, 1 and 5, exceed the operation counts, which
     also covers the rounding of the bound and of fast +/- bound.
     """
-    xs = seg.tolist()
-    ws = weights.tolist()
+    size = seg.size
+    order = np.argsort(seg, kind="stable")
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    ranks, negated = rank.tolist(), (-rank).tolist()
+    # step j adds seg[j]: lo holds one element more than hi before an odd
+    # step, as many before an even one.  Only odd steps record lo[0] and
+    # min(hi); an even step leaves max(lo) = min(min(hi), max(max(lo), s)).
+    tops = []
+    lo, hi = [negated[0]], []          # lo holds -rank: lo[0] is -max(lo)
+    push, pushpop, record = heapq.heappush, heapq.heappushpop, tops.append
+    for r, s in zip(negated[1::2], ranks[2::2]):
+        push(hi, -pushpop(lo, r))      # the larger of the new rank and max(lo) goes up
+        record(lo[0])
+        record(hi[0])
+        push(lo, -pushpop(hi, s))      # the smaller of s and min(hi) comes down
+    if size % 2 == 0:                  # a last odd step without its pair
+        push(hi, -pushpop(lo, negated[-1]))
+        record(lo[0])
+        record(hi[0])
+    steps = np.fromiter(tops, dtype=np.intp, count=len(tops)).reshape(-1, 2)
+    evens = (size - 1) // 2            # even steps after step 0
+    hi_top = steps[:, 1]               # min(hi) after each odd step
+    lo_top = np.empty(size, dtype=np.intp)
+    lo_top[0] = ranks[0]
+    lo_top[1::2] = -steps[:, 0]
+    lo_top[2::2] = np.minimum(hi_top[:evens],
+                              np.maximum(lo_top[1:size - 1:2], rank[2::2]))
+    values = seg[order]
+    med = values[lo_top]
+    med[1::2] = (med[1::2] + values[hi_top]) / 2
+
+    # lower-half deltas, by rank: an even step brings min(new rank, min(hi))
+    # into lo; an odd step brings in min(new rank, max(lo)) and takes out
+    # max(lo), which is an exact 0 when the new element went to hi
     wx = weights * seg
-    wxs = wx.tolist()
-    size = len(xs)
-    trail = []                # median, S_lo, W_lo, S_hi, W_hi after each step
-    lo, hi = [], []           # lo holds (-x, j), hi holds (x, j)
-    odd = False               # lo holds one element more than hi
-    s_lo = w_lo = s_hi = w_hi = 0.0
-    for j in range(size):
-        x = xs[j]
-        if odd:               # the new element ends in hi, by way of lo if below its max
-            if x < -lo[0][0]:
-                v, i = heapq.heapreplace(lo, (-x, j))
-                heapq.heappush(hi, (-v, i))
-                s_lo += wxs[j]
-                w_lo += ws[j]
-                s_lo -= wxs[i]
-                w_lo -= ws[i]
-            else:
-                i = j
-                heapq.heappush(hi, (x, j))
-            s_hi += wxs[i]
-            w_hi += ws[i]
-            med = (-lo[0][0] + hi[0][0]) / 2
-        else:                 # the new element ends in lo, by way of hi if above its min
-            if hi and x > hi[0][0]:
-                v, i = heapq.heapreplace(hi, (x, j))
-                heapq.heappush(lo, (-v, i))
-                s_hi += wxs[j]
-                w_hi += ws[j]
-                s_hi -= wxs[i]
-                w_hi -= ws[i]
-            else:
-                i = j
-                heapq.heappush(lo, (-x, j))
-            s_lo += wxs[i]
-            w_lo += ws[i]
-            med = -lo[0][0]
-        odd = not odd
-        trail.extend((med, s_lo, w_lo, s_hi, w_hi))
-    med, s_lo, w_lo, s_hi, w_hi = np.array(trail).reshape(size, 5).T
+    wx_ranked, w_ranked = wx[order], weights[order]
+    came_in = rank.copy()
+    went_out = lo_top[0:size - 1:2]
+    np.minimum(came_in[1::2], went_out, out=came_in[1::2])
+    np.minimum(came_in[2::2], hi_top[:evens], out=came_in[2::2])
+    d_s = wx_ranked[came_in]
+    d_w = w_ranked[came_in]
+    d_s[1::2] -= wx_ranked[went_out]
+    d_w[1::2] -= w_ranked[went_out]
+    s_lo = np.cumsum(d_s)
+    w_lo = np.cumsum(d_w)
+    s_all = np.cumsum(wx)
+    w_all = np.cumsum(weights)
     count = np.arange(1, size + 1, dtype=float)           # summands in the prefix
     k = count + 1.0
-    fast = (s_hi - med * w_hi + med * w_lo - s_lo) / k
+    fast = (s_all - 2.0 * s_lo - med * (w_all - 2.0 * w_lo)) / k
 
     abs_med = np.abs(med)
     a_wx = np.cumsum(np.abs(wx))
-    a_w = np.cumsum(weights)
-    terms = np.abs(s_hi) + abs_med * w_hi + abs_med * w_lo + np.abs(s_lo)
-    fast_err = (4.0 * _U * (np.cumsum(a_wx) + abs_med * np.cumsum(a_w))
+    terms = np.abs(s_all) + 2.0 * np.abs(s_lo) + abs_med * (w_all + 2.0 * w_lo)
+    fast_err = (6.0 * _U * (np.cumsum(a_wx) + abs_med * np.cumsum(w_all))
                 + 2.0 * _U * a_wx + 8.0 * _U * terms) / k
     gamma = (count + 2.0) * _U / (1.0 - (count + 2.0) * _U)
     bound = (fast_err + gamma * (np.abs(fast) + fast_err)

@@ -252,6 +252,52 @@ def test_replay_rejects_a_malformed_manifest(tmp_path, capsys, manifest, problem
     assert capsys.readouterr().err == f"error: {problem}\n"
 
 
+def _recorded_manifest(tmp_path, command):
+    """Run `command` with small inputs and return the manifest it wrote."""
+    out = str(tmp_path / "out")
+    argv = {
+        "estimate": ["estimate", _simulated_csv(tmp_path), "--json", out],
+        "limit-check": ["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
+                        "--paths", "50", "--m", "64", "--seed", "3", "--json", out],
+        "simulate": ["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
+                     "--reps", "2", "--seed", "2", "--out", out],
+    }[command]
+    assert main(argv) == 0
+    return tmp_path / "out.manifest.json"
+
+
+@pytest.mark.parametrize("command, key, value, expected", [
+    ("estimate", "k", "abc", "an integer or null"),
+    ("estimate", "k", True, "an integer or null"),
+    ("estimate", "theta", "0.3", "a number"),
+    ("estimate", "no_ci", "yes", "true or false"),
+    ("estimate", "variant", "hill", "one of ['woodroofe', 'lynden-bell']"),
+    ("estimate", "json", 5, "a string or null"),
+    ("limit-check", "paths", 2.5, "an integer"),
+    ("simulate", "threads", "2", "an integer"),
+])
+def test_replay_rejects_a_recorded_value_of_the_wrong_type(tmp_path, capsys, command,
+                                                           key, value, expected):
+    # each value is one the subcommand's argument parser could never give
+    path = _recorded_manifest(tmp_path, command)
+    manifest = json.loads(path.read_text())
+    manifest["parameters"][key] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["replay", str(path), "--outdir", str(tmp_path / "redo")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: manifest parameter {key!r} must be {expected}, got {value!r}\n")
+
+
+def test_replay_takes_a_json_integer_for_a_number(tmp_path, capsys):
+    path = _recorded_manifest(tmp_path, "estimate")
+    manifest = json.loads(path.read_text())
+    manifest["parameters"]["level"] = 0
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    assert capsys.readouterr().err == "error: level must lie in (0, 1)\n"
+
+
 def test_estimate_model_violation_still_prints(tmp_path, capsys):
     rng = np.random.default_rng(7)
     x = np.exp(rng.normal(size=60) * 2.0)

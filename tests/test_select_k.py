@@ -1,10 +1,13 @@
 """The running-median threshold scan against the direct quadratic loop.
 
-select_k_dispersion scores every k in one heap pass and re-scores only
-the thresholds whose fast score could reach the minimum.  These tests
-hold it to the loop it replaced, kept here as _select_k_oracle, on a
-seeded corpus of estimator paths and on arbitrary paths full of exact
-ties.
+select_k_dispersion scores every k in one pass (integer ranks through
+two heaps, vectorised sums) and re-scores only the thresholds whose
+fast score could reach the minimum.  These tests hold it to the loop
+it replaced, kept here as _select_k_oracle, on a seeded corpus of
+estimator paths and on arbitrary paths full of exact ties; they hold
+every fast score to its stated error bound against the oracle's
+formula; and they check that the bound is tight enough to leave
+realistic paths with at most two re-scored thresholds.
 """
 
 import math
@@ -17,24 +20,46 @@ from hypothesis import strategies as st
 from trunctail import (LYNDEN_BELL, WOODROOFE, burr, default_k_max,
                        gamma1_path, gamma2_for_target_p, hill_path,
                        select_k_dispersion)
+from trunctail.tail_index import _running_scores
 from trunctail.truncation import TruncationModel
+
+
+def _scan(path, theta, k_max):
+    """The summands path[2..k_max] and their weights i^theta."""
+    seg = np.ascontiguousarray(path[2:k_max + 1])
+    return seg, np.arange(2, k_max + 1, dtype=float) ** theta
+
+
+def _direct_score(seg, weights, k):
+    """The score at k from its definition, rounded as the re-score step rounds it."""
+    m = k - 1                          # number of summands i = 2..k
+    med = np.median(seg[:m])
+    return float(weights[:m] @ np.abs(seg[:m] - med)) / k
 
 
 def _select_k_oracle(path, theta=0.3, k_min=2, k_max=None):
     """Direct O(n^2) scan: a fresh median and dot product for every k."""
     if k_max is None:
         k_max = default_k_max(path.shape[0])
-    start = max(k_min, 4)
-    seg = np.ascontiguousarray(path[2:k_max + 1])
-    weights = np.arange(2, k_max + 1, dtype=float) ** theta
+    seg, weights = _scan(path, theta, k_max)
     best_k, best_score = None, np.inf
-    for k in range(start, k_max + 1):
-        m = k - 1                      # number of summands i = 2..k
-        med = np.median(seg[:m])
-        score = float(weights[:m] @ np.abs(seg[:m] - med)) / k
+    for k in range(max(k_min, 4), k_max + 1):
+        score = _direct_score(seg, weights, k)
         if score < best_score:
             best_k, best_score = k, score
     return int(best_k)
+
+
+def _assert_within_bound(path, theta, k_max=None):
+    """|fast - direct| <= bound at every k in [2, k_max]."""
+    if k_max is None:
+        k_max = default_k_max(path.shape[0])
+    seg, weights = _scan(path, theta, k_max)
+    fast, bound = _running_scores(seg, weights)
+    direct = np.array([_direct_score(seg, weights, k) for k in range(2, k_max + 1)])
+    outside = np.flatnonzero(~(np.abs(fast - direct) <= bound))
+    assert outside.size == 0, [(int(j) + 2, fast[j], direct[j], bound[j])
+                               for j in outside[:3]]
 
 
 def _corpus_paths():
@@ -94,6 +119,46 @@ def test_matches_oracle_on_constant_plateau_and_tied_paths(theta):
             assert fast == _select_k_oracle(path, theta, k_min, k_max)
 
 
+def test_exact_score_tie_goes_to_the_smaller_k():
+    # the summands 0, 1, 5 score 5/4 at k = 4; with 2.25 added, whose
+    # median is 1.625, they score 6.25/5 at k = 5: exactly 1.25 both times
+    path = np.array([np.nan, 0.5, 0.0, 1.0, 5.0, 2.25, 9.0])
+    assert select_k_dispersion(path, 0.0, 4, 5) == _select_k_oracle(path, 0.0, 4, 5) == 4
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
+def test_fast_scores_within_bound_on_hand_built_paths(theta):
+    for path in _hand_built_paths():
+        _assert_within_bound(path, theta)
+
+
+def test_fast_scores_within_bound_on_small_corpus_paths():
+    checked = 0
+    for i, (n, path) in enumerate(_corpus_paths()):
+        if n <= 600:
+            _assert_within_bound(path, (0.0, 0.3, 0.5)[i % 3])
+            checked += 1
+    assert checked >= 90
+
+
+def test_rescore_takes_at_most_two_medians_on_burr_samples(monkeypatch):
+    # a loose bound passes every oracle test but re-scores many k, each
+    # at O(k), which would quietly make selection quadratic again
+    calls = []
+    median = np.median
+    monkeypatch.setattr(np, "median", lambda *a, **kw: calls.append(1) or median(*a, **kw))
+    model = TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4))
+    for seed in range(4301, 4306):
+        sample = model.sample(4000, seed)
+        floor = max(4, math.isqrt(sample.n))
+        for path in (gamma1_path(sample, WOODROOFE), gamma1_path(sample, LYNDEN_BELL),
+                     hill_path(sample.y)):
+            for k_min in (2, floor):
+                calls.clear()
+                select_k_dispersion(path, 0.3, k_min)
+                assert len(calls) <= 2, (seed, sample.n, k_min, len(calls))
+
+
 def test_constant_path_stops_at_first_zero_score(monkeypatch):
     # every k of a constant path stays a candidate, but the first direct
     # score is exactly 0.0 and nothing later can beat it
@@ -123,3 +188,4 @@ def test_matches_oracle_on_arbitrary_tied_paths(scan):
     path, theta, k_min, k_max = scan
     assert (select_k_dispersion(path, theta, k_min, k_max)
             == _select_k_oracle(path, theta, k_min, k_max))
+    _assert_within_bound(path, theta, k_max)
