@@ -85,8 +85,6 @@ def cmd_estimate(params: dict) -> int:
         sample = TruncatedSample.from_csv(input_path)
     except ValueError as exc:
         raise ValueError(f"{input_path}: {exc}") from None
-    if sample.n < 3:
-        raise ValueError(f"{input_path}: need at least 3 data rows, got {sample.n}")
     level = None if params["no_ci"] else params["level"]
     est = full_report(sample, k=params["k"], variant=params["variant"],
                       theta=params["theta"], level=level)
@@ -248,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--json", default=None, metavar="PATH",
                      help="write the JSON report here instead of stdout")
     est.add_argument("--trace", default=None, metavar="PATH",
-                     help="write a k,gamma1_hat CSV over the scan range")
+                     help="write the estimate path as a k,gamma1_hat CSV for k = 2..k_max, "
+                          "below the automatic scan's floor too")
     est.add_argument("--manifest", default=None, metavar="PATH",
                      help="manifest path (default: first output + .manifest.json)")
 

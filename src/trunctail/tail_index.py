@@ -15,18 +15,18 @@ the truncation model is sigma with
 
 which backs the plug-in confidence intervals here.
 
-Threshold choice uses a dispersion criterion: k* minimizes the
-i^theta-weighted mean absolute deviation of the estimator path from
-its running median.  Prefixes with fewer than two summands are
-excluded (a singleton's deviation from its own median is identically
-zero, which would otherwise pin the argmin at the smallest k).  The
-scan range lives in select_k_dispersion's defaults alone, which every
-caller that selects k* uses.  One
-running-median pass scores every k in O(n log n): the heaps that track
-the median hold integer ranks alone, and the sums behind each score are
-vectorised.  Only the thresholds whose score could reach the minimum
-within the pass's rounding error are re-scored from the definition, so
-the choice is exactly that of a direct scan.
+Threshold choice uses the dispersion heuristic of Reiss & Thomas
+(2007): k* minimizes the i^theta-weighted mean absolute deviation of
+the estimator path from its running median.  Two guards are added to
+it, each argued in select_k_dispersion: a prefix needs three summands,
+and the default scan starts at k = max(4, floor(sqrt(n))).  That scan
+range lives in select_k_dispersion's defaults alone, which the gamma1
+and the gamma2 selections both use.  One running-median pass scores
+every k in O(n log n): the heaps that track the median hold integer
+ranks alone, and the sums behind each score are vectorised.  Only the
+thresholds whose score could reach the minimum within the pass's
+rounding error are re-scored from the definition, so the choice is
+exactly that of a direct scan.
 
 scipy is imported inside confidence_interval, the one function that
 uses it, so importing the package, or a run that asks for no
@@ -227,20 +227,23 @@ def default_k_max(n: int) -> int:
 
 
 def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
-                        k_min: int = 2, k_max: int | None = None) -> int:
+                        k_min: int | None = None, k_max: int | None = None) -> int:
     """Threshold minimizing the weighted dispersion of an estimator path.
 
     The score at k is (1/k) * sum_{i=2..k} i^theta |path[i] - m_k| with
-    m_k the median of path[2..k].  The argmin is taken over
-    k in [max(k_min, 4), k_max], with ties going to the smaller k.
+    m_k the median of path[2..k], the heuristic of Reiss & Thomas
+    (Statistical Analysis of Extreme Values, 3rd ed., 2007).  The argmin
+    is taken over k in [max(k_min, 4), k_max], with ties going to the
+    smaller k.
 
-    Prefixes shorter than three summands are never candidates: at k = 2
-    the single summand equals its own median and the score is an exact
-    zero, and at k = 3 the score vanishes whenever path[2] and path[3]
-    happen to lie close together, which at usual sample sizes occurs
-    often enough to swamp the genuine minimum with noise.  Requiring
-    three deviations from the running median is the smallest guard that
-    makes the criterion informative.
+    Two guards are added to the heuristic.  Prefixes shorter than three
+    summands are never candidates: at k = 2 the single summand equals
+    its own median and the score is an exact zero, and at k = 3 it
+    vanishes whenever path[2] and path[3] happen to lie close together.
+    And the default scan starts at max(4, floor(sqrt(n))): a short noisy
+    prefix scores small by construction, so a scan from k = 4 puts about
+    half the argmins on truncated Burr samples at k <= 10, where the
+    rmse of gamma1_hat stops falling as n grows.
 
     Cost: O(n log n) for one running-median pass that scores every k
     (a Python loop moves integer ranks through two heaps; sorting and
@@ -253,19 +256,20 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
             gamma1_path or hill_path.
         theta: dispersion exponent in [0, 0.5].
         k_min, k_max: scan range, 2 <= k_min < k_max < n.  The defaults,
-            [4, default_k_max(n)], are the package's one scan range; an
-            n <= 5 leaves it empty and raises DegenerateTailError.
+            [max(4, isqrt(n)), default_k_max(n)], are the package's one
+            scan range, for gamma1 and gamma2 alike; an n <= 5 leaves it
+            empty and raises DegenerateTailError.
     """
     n = path.shape[0]
     if k_max is None:
         k_max = default_k_max(n)
-        if k_min == 2 and k_max < 4:      # the default range [4, k_max] is empty
+        if k_max < 4:                     # n <= 5: no default range
             raise DegenerateTailError(f"sample too small for threshold selection (n={n})")
     if not (0.0 <= theta <= 0.5):
         raise ValueError("theta must lie in [0, 0.5]")
-    if not 2 <= k_min < k_max < n:
+    if not (k_min is None or 2 <= k_min < k_max) or k_max >= n:
         raise ValueError(f"need 2 <= k_min < k_max < n, got ({k_min}, {k_max}, {n})")
-    start = max(k_min, 4)
+    start = max(4, math.isqrt(n) if k_min is None else k_min)
     if start > k_max:
         raise DegenerateTailError(
             f"no informative thresholds to scan: k_max={k_max} lies below {start}")
@@ -415,31 +419,17 @@ def estimate_gamma2(sample: TruncatedSample, k2: int | None = None,
                     theta: float = 0.3) -> tuple[float, int]:
     """Hill estimate of the truncation tail index from the observed y's.
 
-    When k2 is omitted the dispersion criterion picks it, scanning from
-    max(4, floor(sqrt(n))) upward.  The higher floor matters here: the
-    observed y's behave like a complete heavy-tailed sample, their Hill
-    path is already stable by k = sqrt(n), and over the long default
-    scan range a short noisy prefix would otherwise produce a spurious
-    minimum in a large fraction of samples.
-
     Args:
         sample: observed pairs; only the y side is used.
-        k2: threshold; chosen by the dispersion criterion when omitted.
+        k2: threshold; chosen by select_k_dispersion over its default
+            scan range when omitted.
 
     Returns:
         (gamma2_hat, k2).
-
-    Raises:
-        DegenerateTailError: if k2 is omitted and n <= 6, which leaves
-            no threshold above the floor to scan.
     """
     path = hill_path(sample.y)
     if k2 is None:
-        k_min = max(4, math.isqrt(sample.n))
-        if k_min >= default_k_max(sample.n):
-            raise DegenerateTailError(
-                f"sample too small for the gamma2 plug-in (n={sample.n})")
-        k2 = select_k_dispersion(path, theta, k_min=k_min)
+        k2 = select_k_dispersion(path, theta)
     elif not 1 <= k2 < sample.n:
         raise ValueError(f"k2 must satisfy 1 <= k2 < n, got k2={k2}, n={sample.n}")
     return float(path[k2]), int(k2)
@@ -455,8 +445,9 @@ def full_report(sample: TruncatedSample, k: int | None = None,
     plug-in and confidence interval are attached when the data allow;
     a truncation tail estimated at or below gamma1_hat is recorded as
     a model-violation warning and the interval is refused rather than
-    reporting an invalid variance.  Pass level=None to skip the
-    interval.
+    reporting an invalid variance.  An interval reaching down to 0 or
+    below is kept as computed and named in a warning.  Pass level=None
+    to skip the interval.
     """
     n = sample.n
     if n < 3:
@@ -486,6 +477,11 @@ def full_report(sample: TruncatedSample, k: int | None = None,
         est.warnings.append(
             "interval ignores the deterministic bias term; no bias correction applied"
         )
+        if est.ci.lower <= 0:
+            est.warnings.append(
+                f"interval lower bound {est.ci.lower:.6g} <= 0 lies outside the "
+                "domain of a tail index; it is reported unclipped"
+            )
     except ModelViolationError as exc:
         est.warnings.append(f"confidence interval refused: {exc}")
     return est

@@ -100,8 +100,6 @@ def test_estimate_rejects_malformed_csv(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("u,v\n1,2\n")
     assert main(["estimate", str(path)]) == 2
-    path.write_text("x,y\n1,2\n")
-    assert main(["estimate", str(path)]) == 2  # below the 3-row minimum
     assert main(["estimate", str(tmp_path / "absent.csv")]) == 2
     capsys.readouterr()
 
@@ -125,7 +123,16 @@ def test_estimate_names_a_sample_too_small_for_gamma2(tmp_path, capsys):
     assert code == 0
     assert out["gamma2_hat"] is None and out["ci"] is None
     assert out["warnings"] == [
-        "gamma2 plug-in unavailable: sample too small for the gamma2 plug-in (n=4)"]
+        "gamma2 plug-in unavailable: sample too small for threshold selection (n=4)"]
+
+
+def test_estimate_two_rows_is_degenerate(tmp_path, capsys):
+    # the minimum size is full_report's rule alone: 2 rows exit 4, as 4 rows do
+    path = tmp_path / "two.csv"
+    path.write_text("x,y\n1,2\n2,3\n")
+    assert main(["estimate", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: degenerate data: need at least 3 observed pairs, got 2\n")
 
 
 def test_estimate_rejects_theta_out_of_range_with_fixed_k(tmp_path, capsys):

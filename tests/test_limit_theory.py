@@ -16,6 +16,7 @@ statistics of the central body are checked separately with robust
 """
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -91,6 +92,35 @@ def test_error_magnitude_shrinks_with_sample_size():
         assert len(errs) >= 190
         meds[big_n] = float(np.median(errs))
     assert meds[2000] < meds[200]
+
+
+def test_rmse_falls_with_sample_size_above_the_scan_floor():
+    """rmse at p=0.7 from N=2 000 to N=10 000, 200 replicates each.
+
+    A scan that starts at k=4 puts over half of all k* at k <= 10, and
+    its rmse does not fall with N.  Over eight seed chains ("kf", then
+    "kf1" to "kf7") the scan from max(4, isqrt(n)) gave rmse 0.116-0.153
+    at N=2 000 and 0.076-0.100 at N=10 000, with 0 k* at k <= 10 and
+    2.5-11.5% of k* exactly at the floor.  A scan from k=4 gave
+    0.274-0.377 and 0.312-0.486, with 55-70% of k* at k <= 10.  The
+    N=10 000 rmse alone separates the two, so it carries a cap; a bare
+    "rmse falls" check also held for the k=4 scan on 2 of the 8 chains.
+    """
+    rmse = {}
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for big_n in (2000, 10_000):
+            tasks = [(0.7, GAMMA1, 0.25, big_n, "woodroofe", 0.3,
+                      stable_key("kf", 0.7, big_n, r)) for r in range(200)]
+            reps = [r for r in pool.map(_run_replicate, tasks, chunksize=25)
+                    if r is not None]
+            assert len(reps) == 200
+            rmse[big_n] = math.sqrt(math.fsum((g - GAMMA1) ** 2 for _, _, g in reps) / 200)
+            at_floor = sum(k == max(4, math.isqrt(n)) for n, k, _ in reps) / 200
+            low = sum(k <= 10 for _, k, _ in reps) / 200
+            print(f"N={big_n}: rmse {rmse[big_n]:.3f}, k* at the floor {at_floor:.1%}, "
+                  f"k* <= 10 {low:.1%}")
+    assert rmse[10_000] < rmse[2000]
+    assert rmse[10_000] <= 0.15
 
 
 def test_truncation_index_recovered_from_observed_y():

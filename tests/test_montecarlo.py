@@ -6,7 +6,7 @@ import pytest
 
 from trunctail import montecarlo
 from trunctail import (DegenerateTailError, StudyConfig, StudyReport, StudyRow,
-                       burr, default_k_max, gamma1_path, gamma2_for_target_p,
+                       burr, gamma1_path, gamma2_for_target_p,
                        run_cell, run_study, select_k_dispersion)
 from trunctail.montecarlo import CSV_HEADER, CellSpec, _run_replicate
 from trunctail.seeding import stable_key
@@ -72,7 +72,7 @@ def test_single_replicate_matches_manual_computation():
                             burr(delta, gamma2_for_target_p(gamma1, p)))
     sample = model.sample(big_n, rep_seed)
     path = gamma1_path(sample)
-    k_star = select_k_dispersion(path, 0.3, 2, default_k_max(sample.n))
+    k_star = select_k_dispersion(path, 0.3)
     assert row.completed == 1
     assert row.mean_n == sample.n
     assert row.mean_k_star == k_star

@@ -37,10 +37,13 @@ def _direct_score(seg, weights, k):
     return float(weights[:m] @ np.abs(seg[:m] - med)) / k
 
 
-def _select_k_oracle(path, theta=0.3, k_min=2, k_max=None):
+def _select_k_oracle(path, theta=0.3, k_min=None, k_max=None):
     """Direct O(n^2) scan: a fresh median and dot product for every k."""
+    n = path.shape[0]
+    if k_min is None:                  # the default floor, max(4, floor(sqrt(n)))
+        k_min = max(4, max(k for k in range(n + 1) if k * k <= n))
     if k_max is None:
-        k_max = default_k_max(path.shape[0])
+        k_max = default_k_max(n)
     seg, weights = _scan(path, theta, k_max)
     best_k, best_score = None, np.inf
     for k in range(max(k_min, 4), k_max + 1):
@@ -85,9 +88,8 @@ def test_matches_oracle_on_seeded_corpus():
     checked = 0
     for n, path in _corpus_paths():
         k_max = default_k_max(n)
-        for k_min in sorted({2, max(2, math.isqrt(n))}):
-            if k_min >= k_max:
-                continue
+        explicit = [k for k in sorted({2, max(2, math.isqrt(n))}) if k < k_max]
+        for k_min in [None, *explicit]:
             for theta in (0.0, 0.3, 0.5):
                 fast = select_k_dispersion(path, theta, k_min)
                 assert fast == _select_k_oracle(path, theta, k_min), (n, k_min, theta)
@@ -165,7 +167,7 @@ def test_constant_path_stops_at_first_zero_score(monkeypatch):
     calls = []
     median = np.median
     monkeypatch.setattr(np, "median", lambda *a, **kw: calls.append(1) or median(*a, **kw))
-    assert select_k_dispersion(np.full(3000, 0.7), theta=0.3) == 4
+    assert select_k_dispersion(np.full(3000, 0.7), theta=0.3) == 54
     assert len(calls) == 1
 
 

@@ -184,7 +184,7 @@ def test_select_k_dispersion_prefers_stable_plateau():
 def test_select_k_dispersion_tie_goes_to_smallest():
     path = np.full(50, 0.7)
     path[0] = np.nan
-    assert select_k_dispersion(path, theta=0.3) == 4
+    assert select_k_dispersion(path, theta=0.3) == 7     # the floor, isqrt(50)
 
 
 def test_select_k_dispersion_determinism_and_range():
@@ -227,10 +227,15 @@ def test_full_report_keeps_its_path_out_of_the_report():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_estimate_gamma2_names_a_sample_too_small_to_scan(n):
-    x = np.arange(1.0, n + 1.0)
-    with pytest.raises(DegenerateTailError, match=f"too small for the gamma2 plug-in \\(n={n}\\)"):
-        estimate_gamma2(TruncatedSample(x, x + 1.0))
-    assert estimate_gamma2(TruncatedSample(x, x + 1.0), k2=1)[1] == 1
+    # gamma2 shares gamma1's scan range: empty for n <= 5, [4, 4] at n = 6
+    sample = TruncatedSample(np.arange(1.0, n + 1.0), np.arange(2.0, n + 2.0))
+    if n <= 5:
+        with pytest.raises(DegenerateTailError,
+                           match=f"^sample too small for threshold selection \\(n={n}\\)$"):
+            estimate_gamma2(sample)
+    else:
+        assert estimate_gamma2(sample) == (hill(sample.y, 4), 4)
+    assert estimate_gamma2(sample, k2=1)[1] == 1
 
 
 def test_estimate_gamma2_matches_hill_of_y():
@@ -253,6 +258,19 @@ def test_full_report_attaches_plugins():
     assert set(d) == {"gamma1_hat", "k", "variant", "gamma2_hat", "k2",
                       "sigma2_hat", "ci", "n", "warnings"}
     assert d["ci"]["level"] == 0.95
+
+
+def test_full_report_names_an_interval_reaching_below_zero():
+    # the README sample: at k = 5 the interval is [-0.271, 1.193] and is
+    # kept as computed; the automatic threshold's interval stays positive
+    sample = TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4)).sample(2000, seed=7)
+    low = full_report(sample, k=5)
+    assert low.ci.lower == pytest.approx(-0.2712657145726982, rel=1e-12)
+    assert low.warnings[-1] == ("interval lower bound -0.271266 <= 0 lies outside the "
+                                "domain of a tail index; it is reported unclipped")
+    auto = full_report(sample)
+    assert auto.ci.lower > 0
+    assert not any("lower bound" in w for w in auto.warnings)
 
 
 def test_full_report_level_none_skips_interval():
