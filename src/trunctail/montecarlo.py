@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 from .distributions import burr
@@ -39,6 +38,11 @@ __all__ = [
 _VARIANTS = (WOODROOFE, LYNDEN_BELL)
 _MIN_OBSERVED = 10
 CSV_HEADER = ["p", "gamma1", "N", "mean_n", "mean_k_star", "abs_bias", "rmse", "completed"]
+
+
+def _is_number(value, kind=(int, float)) -> bool:
+    """A JSON number of that kind: true and false are Python ints but not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -89,34 +93,34 @@ class StudyConfig:
             if extra:
                 fail(where, f"unknown key(s) {sorted(extra)}")
             p = cell.get("p")
-            if not isinstance(p, (int, float)) or not 0.0 < p < 1.0:
+            if not _is_number(p) or not 0.0 < p < 1.0:
                 fail(f"{where}/p", "must be a number in (0, 1)")
             g1 = cell.get("gamma1")
-            if not isinstance(g1, (int, float)) or g1 <= 0:
+            if not _is_number(g1) or g1 <= 0:
                 fail(f"{where}/gamma1", "must be a positive number")
             delta = cell.get("delta", 0.25)
-            if not isinstance(delta, (int, float)) or delta <= 0:
+            if not _is_number(delta) or delta <= 0:
                 fail(f"{where}/delta", "must be a positive number")
             sizes_raw = cell.get("N")
-            if isinstance(sizes_raw, int):
+            if _is_number(sizes_raw, int):
                 sizes_raw = [sizes_raw]
             if not isinstance(sizes_raw, list) or not sizes_raw:
                 fail(f"{where}/N", "must be an integer or non-empty array of integers")
             for j, size in enumerate(sizes_raw):
-                if not isinstance(size, int) or size < 2:
+                if not _is_number(size, int) or size < 2:
                     fail(f"{where}/N/{j}", "must be an integer >= 2")
             cells.append(CellSpec(float(p), float(g1), float(delta), tuple(sizes_raw)))
         replicates = data.get("replicates")
-        if not isinstance(replicates, int) or replicates < 1:
+        if not _is_number(replicates, int) or replicates < 1:
             fail("/replicates", "must be an integer >= 1")
         variant = data.get("variant", WOODROOFE)
         if variant not in _VARIANTS:
             fail("/variant", f"must be one of {list(_VARIANTS)}")
         theta = data.get("theta", 0.3)
-        if not isinstance(theta, (int, float)) or not 0.0 <= theta <= 0.5:
+        if not _is_number(theta) or not 0.0 <= theta <= 0.5:
             fail("/theta", "must be a number in [0, 0.5]")
         master_seed = data.get("master_seed", 0)
-        if not isinstance(master_seed, int):
+        if not _is_number(master_seed, int):
             fail("/master_seed", "must be an integer")
         return cls(tuple(cells), replicates, variant, float(theta), master_seed)
 
@@ -232,6 +236,7 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
         for r in range(replicates)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # serial runs never load it
         workers = min(workers, len(tasks))
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -21,12 +21,12 @@ the estimator path from its running median.  Two guards are added to
 it, each argued in select_k_dispersion: a prefix needs three summands,
 and the default scan starts at k = max(4, floor(sqrt(n))).  That scan
 range lives in select_k_dispersion's defaults alone, which the gamma1
-and the gamma2 selections both use.  One running-median pass scores
-every k in O(n log n): the heaps that track the median hold integer
-ranks alone, and the sums behind each score are vectorised.  Only the
-thresholds whose score could reach the minimum within the pass's
-rounding error are re-scored from the definition, so the choice is
-exactly that of a direct scan.
+and the gamma2 selections both use.  One running-median pass finds
+each prefix median once and scores every k in O(n log n): its heaps
+hold integer ranks alone, and the sums behind each score are
+vectorised.  Only the thresholds whose score could reach the minimum
+within the pass's rounding error are re-scored from the definition,
+with the pass's medians, so the choice is exactly a direct scan's.
 
 scipy is imported inside confidence_interval, the one function that
 uses it, so importing the package, or a run that asks for no
@@ -38,9 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# np.median imports numpy.ma on its first call; importing it with the module
-# lets forked study workers inherit it instead of loading it once per pool
-import numpy.ma  # noqa: F401
 
 from .errors import DegenerateTailError, ModelViolationError
 from .product_limit import WOODROOFE, fit_product_limit
@@ -277,16 +274,17 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
     if np.any(~np.isfinite(seg)):
         raise DegenerateTailError("estimator path is not finite over the scan range")
     weights = np.arange(2, k_max + 1, dtype=float) ** theta
-    fast, bound = _running_scores(seg, weights)
-    return _rescore_candidates(seg, weights, fast[start - 2:], bound[start - 2:], start)
+    fast, bound, med = _running_scores(seg, weights)
+    return _rescore_candidates(seg, weights, fast[start - 2:], bound[start - 2:],
+                               med[start - 2:], start)
 
 
 _U = 2.0 ** -53        # unit roundoff of float64
 _ETA = 2.0 ** -1074    # smallest subnormal: the absolute error unit under underflow
 
 
-def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dispersion score of every prefix of seg in one pass, with error bounds.
+def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dispersion score and median of every prefix of seg in one pass, with error bounds.
 
     Entry j belongs to k = j + 2, the prefix seg[:j+1].  One stable
     argsort gives each value an integer rank (ties by index).  A
@@ -301,11 +299,14 @@ def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
 
         (S_all - 2 S_lo - med (W_all - 2 W_lo)) / k.
 
+    med[j] is the prefix median, for an even count fl(a + b) / 2 of the
+    middle two values, which lies between the halves; _rescore_candidates
+    reads it too, so no median is computed twice.
+
     bound[j] is a rigorous bound on |fast[j] - direct[j]|, where direct
-    is the score as _rescore_candidates rounds it from the definition.
-    Both differ from the exact score of the same floats and median (the
-    even-count median is fl(a + b) / 2 in both, as in np.median, and
-    lies between the halves, so the exact score is the formula above).
+    is the score as _rescore_candidates rounds it from the definition
+    with the same med[j].  Both differ from the exact score of the same
+    floats and median, which is the formula above.
     With u the unit roundoff, A(s) the prefix total of |w*x| and B(s)
     that of w, k times the fast score's error is at most the sum of:
       * S_all: one rounded addition per step, off by at most u times a
@@ -385,16 +386,17 @@ def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     gamma = (count + 2.0) * _U / (1.0 - (count + 2.0) * _U)
     bound = (fast_err + gamma * (np.abs(fast) + fast_err)
              + (2.0 * count + 8.0) * _ETA)
-    return fast, bound
+    return fast, bound, med
 
 
 def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
-                        bound: np.ndarray, start: int) -> int:
+                        bound: np.ndarray, med: np.ndarray, start: int) -> int:
     """Smallest k attaining the minimum score computed from the definition.
 
-    fast[j] and bound[j] belong to k = start + j.  A k whose lowest
-    possible direct score exceeds the lowest upper bound over all k
-    cannot attain the minimum; every other k is re-scored directly, in
+    fast[j], bound[j] and the prefix median med[j] belong to k = start + j,
+    as _running_scores returns them.  A k whose lowest possible direct
+    score exceeds the lowest upper bound over all k cannot attain the
+    minimum; every other k is re-scored directly with med[j], in
     ascending order with a strict comparison, so exact ties resolve as
     a full direct scan would.  A non-finite bound keeps its k.  Scores
     are >= 0, so the scan stops at the first score of exactly 0.0: no
@@ -404,10 +406,10 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
     ceiling = np.min(fast + bound)
     candidates = np.flatnonzero(~(fast - bound > ceiling))
     best_k, best_score = None, np.inf
-    for k in (candidates + start).tolist():
+    for j in candidates.tolist():
+        k = start + j
         m = k - 1                      # number of summands i = 2..k
-        med = np.median(seg[:m])
-        score = float(weights[:m] @ np.abs(seg[:m] - med)) / k
+        score = float(weights[:m] @ np.abs(seg[:m] - med[j])) / k
         if score < best_score:
             best_k, best_score = k, score
             if score == 0.0:
@@ -415,23 +417,14 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
     return int(best_k)
 
 
-def estimate_gamma2(sample: TruncatedSample, k2: int | None = None,
-                    theta: float = 0.3) -> tuple[float, int]:
-    """Hill estimate of the truncation tail index from the observed y's.
+def estimate_gamma2(sample: TruncatedSample, theta: float = 0.3) -> tuple[float, int]:
+    """(gamma2_hat, k2): Hill estimate of the truncation tail index from the y's.
 
-    Args:
-        sample: observed pairs; only the y side is used.
-        k2: threshold; chosen by select_k_dispersion over its default
-            scan range when omitted.
-
-    Returns:
-        (gamma2_hat, k2).
+    k2 is chosen by select_k_dispersion over its default scan range;
+    hill(sample.y, k) gives the estimate at a fixed k.
     """
     path = hill_path(sample.y)
-    if k2 is None:
-        k2 = select_k_dispersion(path, theta)
-    elif not 1 <= k2 < sample.n:
-        raise ValueError(f"k2 must satisfy 1 <= k2 < n, got k2={k2}, n={sample.n}")
+    k2 = select_k_dispersion(path, theta)
     return float(path[k2]), int(k2)
 
 

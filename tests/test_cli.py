@@ -497,26 +497,28 @@ def test_unknown_subcommand():
 _COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+def watched_modules():
+    # scipy, plus what np.median (numpy.ma) and a process pool (multiprocessing) load
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
+                  or m in ("numpy.ma", "multiprocessing"))
 
 csv_path, study_prefix, out_path = sys.argv[1:]
 seen = {}
 import trunctail
-seen["import trunctail"] = scipy_modules()
+seen["import trunctail"] = watched_modules()
 import trunctail.cli
-seen["import trunctail.cli"] = scipy_modules()
+seen["import trunctail.cli"] = watched_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     assert trunctail.cli.main(["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
                                "--paths", "200", "--m", "256", "--seed", "1"]) == 0
-    seen["limit-check"] = scipy_modules()
+    seen["limit-check"] = watched_modules()
     assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
                                "--reps", "2", "--seed", "1", "--out", study_prefix]) == 0
-    seen["simulate"] = scipy_modules()
+    seen["simulate"] = watched_modules()
     assert trunctail.cli.main(["estimate", csv_path]) == 0
-    seen["estimate"] = scipy_modules()
+    seen["estimate"] = watched_modules()
 trunctail.TruncationModel(trunctail.burr(0.25, 0.6), trunctail.pareto(1.4)).p
-seen["mixed-family p"] = scipy_modules()
+seen["mixed-family p"] = watched_modules()
 with open(out_path, "w") as fh:
     json.dump(seen, fh)
 """
@@ -529,6 +531,7 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
                     str(tmp_path / "study"), str(out_path)],
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
+    # neither scipy, numpy.ma nor multiprocessing; simulate runs serially here
     for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate"):
         assert seen[step] == [], step
     assert "scipy.special" in seen["estimate"]   # the interval's normal quantile

@@ -1,10 +1,10 @@
+import concurrent.futures
 import json
 import math
 
 import numpy as np
 import pytest
 
-from trunctail import montecarlo
 from trunctail import (DegenerateTailError, StudyConfig, StudyReport, StudyRow,
                        burr, gamma1_path, gamma2_for_target_p,
                        run_cell, run_study, select_k_dispersion)
@@ -50,6 +50,16 @@ def test_config_accepts_scalar_n_and_default_delta():
     (lambda d: d.update(theta=0.9), "/theta"),
     (lambda d: d.update(master_seed="x"), "/master_seed"),
     (lambda d: d.update(bogus=2), ""),
+    # bool is an int in Python, but JSON true and false are not numbers
+    pytest.param(lambda d: d["cells"][0].update(p=True), "/cells/0/p", id="true-p"),
+    pytest.param(lambda d: d["cells"][0].update(gamma1=True), "/cells/0/gamma1",
+                 id="true-gamma1"),
+    pytest.param(lambda d: d["cells"][0].update(delta=True), "/cells/0/delta",
+                 id="true-delta"),
+    pytest.param(lambda d: d["cells"][0].update(N=True), "/cells/0/N", id="true-N"),
+    pytest.param(lambda d: d.update(replicates=True), "/replicates", id="true-replicates"),
+    pytest.param(lambda d: d.update(theta=False), "/theta", id="false-theta"),
+    pytest.param(lambda d: d.update(master_seed=True), "/master_seed", id="true-master_seed"),
 ])
 def test_config_pointer_diagnostics(mutate, pointer):
     data = _config()
@@ -122,7 +132,7 @@ def test_one_pool_per_study_capped_at_task_count(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     row = run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8)
     assert sizes == [3]
     assert row == run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1)

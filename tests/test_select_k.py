@@ -6,8 +6,9 @@ fast score could reach the minimum.  These tests hold it to the loop
 it replaced, kept here as _select_k_oracle, on a seeded corpus of
 estimator paths and on arbitrary paths full of exact ties; they hold
 every fast score to its stated error bound against the oracle's
-formula; and they check that the bound is tight enough to leave
-realistic paths with at most two re-scored thresholds.
+formula, and every median of the pass to np.median's bit for bit; and
+they check that the bound is tight enough to leave realistic paths
+with at most two re-scored thresholds.
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from trunctail import (LYNDEN_BELL, WOODROOFE, burr, default_k_max,
                        gamma1_path, gamma2_for_target_p, hill_path,
                        select_k_dispersion)
+from trunctail import tail_index
 from trunctail.tail_index import _running_scores
 from trunctail.truncation import TruncationModel
 
@@ -54,11 +56,14 @@ def _select_k_oracle(path, theta=0.3, k_min=None, k_max=None):
 
 
 def _assert_within_bound(path, theta, k_max=None):
-    """|fast - direct| <= bound at every k in [2, k_max]."""
+    """|fast - direct| <= bound at every k in [2, k_max], and each median is np.median's."""
     if k_max is None:
         k_max = default_k_max(path.shape[0])
     seg, weights = _scan(path, theta, k_max)
-    fast, bound = _running_scores(seg, weights)
+    fast, bound, med = _running_scores(seg, weights)
+    expected = np.array([np.median(seg[:j + 1]) for j in range(seg.size)])
+    differ = np.flatnonzero(med.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, [(int(j) + 2, med[j], expected[j]) for j in differ[:3]]
     direct = np.array([_direct_score(seg, weights, k) for k in range(2, k_max + 1)])
     outside = np.flatnonzero(~(np.abs(fast - direct) <= bound))
     assert outside.size == 0, [(int(j) + 2, fast[j], direct[j], bound[j])
@@ -143,12 +148,36 @@ def test_fast_scores_within_bound_on_small_corpus_paths():
     assert checked >= 90
 
 
+class _CountedReads:
+    """The pass's medians, counting reads: a re-scored threshold reads its one median."""
+
+    def __init__(self, med):
+        self.med, self.reads = med, 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return self.med[j]
+
+
+def _count_rescores(monkeypatch):
+    """A list that gets the number of thresholds each selection re-scores."""
+    counts = []
+    rescore = tail_index._rescore_candidates
+
+    def counting(seg, weights, fast, bound, med, start):
+        reads = _CountedReads(med)
+        k = rescore(seg, weights, fast, bound, reads, start)
+        counts.append(reads.reads)
+        return k
+
+    monkeypatch.setattr(tail_index, "_rescore_candidates", counting)
+    return counts
+
+
 def test_rescore_takes_at_most_two_medians_on_burr_samples(monkeypatch):
     # a loose bound passes every oracle test but re-scores many k, each
     # at O(k), which would quietly make selection quadratic again
-    calls = []
-    median = np.median
-    monkeypatch.setattr(np, "median", lambda *a, **kw: calls.append(1) or median(*a, **kw))
+    counts = _count_rescores(monkeypatch)
     model = TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4))
     for seed in range(4301, 4306):
         sample = model.sample(4000, seed)
@@ -156,19 +185,17 @@ def test_rescore_takes_at_most_two_medians_on_burr_samples(monkeypatch):
         for path in (gamma1_path(sample, WOODROOFE), gamma1_path(sample, LYNDEN_BELL),
                      hill_path(sample.y)):
             for k_min in (2, floor):
-                calls.clear()
                 select_k_dispersion(path, 0.3, k_min)
-                assert len(calls) <= 2, (seed, sample.n, k_min, len(calls))
+                assert 1 <= counts.pop() <= 2, (seed, sample.n, k_min)
+    assert counts == []
 
 
 def test_constant_path_stops_at_first_zero_score(monkeypatch):
     # every k of a constant path stays a candidate, but the first direct
     # score is exactly 0.0 and nothing later can beat it
-    calls = []
-    median = np.median
-    monkeypatch.setattr(np, "median", lambda *a, **kw: calls.append(1) or median(*a, **kw))
+    counts = _count_rescores(monkeypatch)
     assert select_k_dispersion(np.full(3000, 0.7), theta=0.3) == 54
-    assert len(calls) == 1
+    assert counts == [1]
 
 
 _TIED_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 2.0 ** -52, 0.6, 1.0, 3.0])
