@@ -267,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (required unless --config supplies one)")
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker processes (default 1); does not affect results")
+                     help="processes to run on, this one included, capped at the "
+                          "available cores (default 1); never changes the output")
     sim.add_argument("--out", default="study", metavar="PREFIX",
                      help="output prefix for .csv/.json/.manifest.json (default study)")
 

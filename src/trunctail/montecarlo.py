@@ -21,6 +21,7 @@ from dataclasses import astuple, dataclass
 
 from .distributions import burr
 from .errors import DegenerateTailError, EmptySampleError
+from .limit_process import _worker_count
 from .product_limit import LYNDEN_BELL, WOODROOFE
 from .seeding import stable_key
 from .tail_index import gamma1_path, select_k_dispersion
@@ -197,6 +198,22 @@ def _run_replicate(args) -> tuple[int, int, float] | None:
     return sample.n, k_star, float(path[k_star])
 
 
+def _run_slice(tasks) -> tuple[list, Exception | None]:
+    """Replicates of tasks in order, up to the first that raises.
+
+    Returns the results before the failure and the exception (None if
+    every task ran), so the caller can re-raise the failure of the
+    lowest task index whichever process ran it.
+    """
+    results = []
+    for task in tasks:
+        try:
+            results.append(_run_replicate(task))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
 def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
              variant: str = WOODROOFE, theta: float = 0.3, seed: int = 0,
              workers: int = 1) -> StudyRow:
@@ -215,18 +232,25 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
         theta: dispersion exponent for threshold selection.
         seed: cell-level seed; replicate r uses the content key
             (seed, r).
-        workers: process count; any value yields identical output.
+        workers: processes to run on, the calling one included, capped
+            at the cores this process may use; any value yields
+            identical output.
     """
     return _run_cells([(p, gamma1, delta, big_n, seed)], replicates, variant, theta, workers)[0]
 
 
 def _run_cells(cells, replicates: int, variant: str, theta: float,
                workers: int) -> list[StudyRow]:
-    """Run every (p, gamma1, delta, N, seed) cell on one shared pool.
+    """Run every (p, gamma1, delta, N, seed) cell, replicates split over processes.
 
-    All replicates of all cells are mapped in one pass, so a pool is
-    started at most once and never with more workers than tasks; the
-    results are sliced back per cell in order.
+    The replicates of all cells form one task list.  With workers > 1
+    (capped at the task count and at the cores this process may use)
+    it is cut into that many interleaved slices tasks[w::workers]: one
+    pool of workers - 1 forked children runs slices 1.., the calling
+    process runs slice 0, and every slice is put back in place.  Each
+    replicate's seed is a content key, so the worker count never
+    changes a result, and a failing replicate raises as in a serial
+    run: the failure of the lowest task index wins.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -235,12 +259,19 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
         for p, gamma1, delta, big_n, seed in cells
         for r in range(replicates)
     ]
+    workers = min(workers, len(tasks), _worker_count())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs never load it
-        workers = min(workers, len(tasks))
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            children = [pool.submit(_run_slice, tasks[w::workers]) for w in range(1, workers)]
+            slices = [_run_slice(tasks[::workers])] + [child.result() for child in children]
+        failures = [(w + workers * len(done), exc)
+                    for w, (done, exc) in enumerate(slices) if exc is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        results = [None] * len(tasks)
+        for w, (done, _) in enumerate(slices):
+            results[w::workers] = done
     else:
         results = [_run_replicate(t) for t in tasks]
     rows = []

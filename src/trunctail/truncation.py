@@ -95,9 +95,8 @@ class TruncatedSample:
         if [h.strip() for h in header] != ["x", "y"]:
             raise ValueError(f"bad CSV header {header!r}: expected x,y")
         xs, ys = [], []
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
+        # blank lines are skipped and not counted, as in _data_rows
+        for lineno, row in enumerate(filter(None, reader), start=1):
             if len(row) != 2:
                 raise ValueError(f"data row {lineno}: expected two columns")
             try:

@@ -1,13 +1,16 @@
 import concurrent.futures
 import json
 import math
+import multiprocessing
+import signal
 
 import numpy as np
 import pytest
 
-from trunctail import (DegenerateTailError, StudyConfig, StudyReport, StudyRow,
-                       burr, gamma1_path, gamma2_for_target_p,
+from trunctail import (DegenerateTailError, NumericError, StudyConfig, StudyReport,
+                       StudyRow, burr, gamma1_path, gamma2_for_target_p,
                        run_cell, run_study, select_k_dispersion)
+from trunctail import montecarlo
 from trunctail.montecarlo import CSV_HEADER, CellSpec, _run_replicate
 from trunctail.seeding import stable_key
 from trunctail.truncation import TruncationModel
@@ -115,10 +118,11 @@ _THREE_CELLS = {
 
 
 def test_one_pool_per_study_capped_at_task_count(monkeypatch):
-    sizes = []
+    sizes, ran, in_child = [], [], [False]
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+        """Stands in for ProcessPoolExecutor: records its size, runs each
+        submission in-process at once and flags it as a child's."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -129,15 +133,90 @@ def test_one_pool_per_study_capped_at_task_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            in_child[0] = True
+            try:
+                future.set_result(fn(*args))
+            finally:
+                in_child[0] = False
+            return future
+
+    replicate = montecarlo._run_replicate
+
+    def recorded(task):
+        ran.append((task, in_child[0]))
+        return replicate(task)
+
+    def split():
+        """Tasks run by the caller, and by the children in submission order."""
+        return ([task for task, child in ran if not child],
+                [task for task, child in ran if child])
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    row = run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8)
-    assert sizes == [3]
-    assert row == run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1)
-    run_study(StudyConfig.from_dict(_THREE_CELLS), workers=64)
-    assert sizes == [3, 12]
+    monkeypatch.setattr(montecarlo, "_run_replicate", recorded)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 64)
+    serial = run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1)
+    tasks = [task for task, _ in ran]
+    assert sizes == [] and len(tasks) == 3
+    ran.clear()
+    # capped at the task count: 3 processes, the caller and two children
+    assert run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8) == serial
+    assert sizes == [2]
+    assert split() == (tasks[::3], tasks[1::3] + tasks[2::3])
+
+    config = StudyConfig.from_dict(_THREE_CELLS)
+    ran.clear()
+    serial = run_study(config, workers=1)
+    tasks = [task for task, _ in ran]
+    assert len(tasks) == 12
+    # capped at the cores: 5 processes, the caller and four children
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 5)
+    ran.clear()
+    assert run_study(config, workers=64) == serial
+    assert sizes == [2, 4]
+    assert split() == (tasks[::5], [t for w in range(1, 5) for t in tasks[w::5]])
+    # one core: the serial loop, no pool
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+    assert run_study(config, workers=64) == serial
+    assert sizes == [2, 4]
+
+
+@pytest.mark.parametrize("failing", [{0}, {1}, {1, 2}, {2, 3}])
+def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, failing):
+    # a real pool with one forked child: replicates 0 and 2 run in the
+    # caller, 1 and 3 in the child; the lowest failing replicate's
+    # NumericError surfaces wherever it was raised
+    config = StudyConfig.from_dict(_config(cells=[{"p": 0.7, "gamma1": 0.6, "N": 150}],
+                                           replicates=4))
+    cell_seed = stable_key("cell", 5, 0.7, 0.6, 0.25, 150)
+    seeds = [stable_key("replicate", cell_seed, r) for r in range(4)]
+    replicate = montecarlo._run_replicate
+
+    def flaky(task):
+        r = seeds.index(task[-1])
+        if r in failing:
+            raise NumericError(f"replicate {r} did not converge")
+        return replicate(task)
+
+    monkeypatch.setattr(montecarlo, "_run_replicate", flaky)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    expected = f"^replicate {min(failing)} did not converge$"
+
+    def hung(*_):
+        for child in multiprocessing.active_children():   # else the pool's exit waits on it
+            child.terminate()
+        raise TimeoutError("run_study did not return in time")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        for workers in (1, 2):
+            with pytest.raises(NumericError, match=expected):
+                run_study(config, workers=workers)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_run_study_parallel_bytes_match_serial_across_cells():

@@ -45,6 +45,12 @@ def test_csv_diagnostics():
         TruncatedSample.read_csv(io.StringIO("x,y\n1,2\n1,oops\n"))
     with pytest.raises(ValueError, match="data row 1"):
         TruncatedSample.read_csv(io.StringIO("x,y\n1,2,3\n"))
+    # a blank line is not a data row, in the parse errors and in the
+    # x > y check alike: both name the line "5,..." as data row 2
+    with pytest.raises(ValueError, match="^data row 2: non-numeric"):
+        TruncatedSample.read_csv(io.StringIO("x,y\n1,3\n\n5,oops\n"))
+    with pytest.raises(ValueError, match=r"^x > y at data row\(s\) 2$"):
+        TruncatedSample.read_csv(io.StringIO("x,y\n1,3\n\n5,2\n4,6\n"))
     with pytest.raises(ValueError, match="no data rows"):
         TruncatedSample.read_csv(io.StringIO("x,y\n"))
 
