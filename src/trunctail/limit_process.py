@@ -35,10 +35,13 @@ only against W(s) ~ s^(1/2).  Two measures keep this exact and cheap:
 Ensembles.  A path is values = cumsum(sd * z) with sd_l the square
 root of the l-th grid step and z iid N(0, 1), so a node-weight
 functional w @ values equals a @ z for the increment weights
-a_l = sd_l * sum_{j>=l} w_j.  The ensemble computes a once per call
-(one row for L(W), three for the Deltas); a path then costs one normal
-fill from its own stream (seed, i) and one product-and-sum.  The same
-row gives the exact variance of the discretized L(W), sum_l a_l^2, so
+a_l = sd_l * sum_{j>=l} w_j.  _ensemble takes a stack of such rows
+and a path costs one normal fill from its own stream (seed, i) and one
+product-and-sum over the stack.  mc_variance passes L(W)'s row and
+delta_moments_mc the three Delta rows, and each aggregates the values
+in its own helper.  Each row is reduced on its own, so a stack of rows
+from one grid gives every row the bits of its own pass.  The L(W) row
+also gives the exact variance of the discretized L(W), sum_l a_l^2, so
 mc_variance can split its error into grid bias and Monte Carlo noise.
 Every weight reduction in this module is numpy's fixed-order
 np.add.reduce, never BLAS, whose thread count would change the sums.
@@ -364,17 +367,14 @@ def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoment
     """
     if not (0.5 < rho < 1.0):
         raise ValueError(f"rho must lie in (0.5, 1), got {rho}")
-    d1, d2, d3 = _ensemble(_delta_rows(rho, m), seed, n_paths)
-    def mean_of(prod):
-        return math.fsum(prod) / n_paths
-    return DeltaMoments(
-        d11=mean_of(d1 * d1),
-        d22=mean_of(d2 * d2),
-        d33=mean_of(d3 * d3),
-        d12=mean_of(d1 * d2),
-        d13=mean_of(d1 * d3),
-        d23=mean_of(d2 * d3),
-    )
+    return _delta_moments(_ensemble(_delta_rows(rho, m), seed, n_paths))
+
+
+def _delta_moments(values: np.ndarray) -> DeltaMoments:
+    """Sample second moments of the ensemble's (Delta1, Delta2, Delta3) rows."""
+    d1, d2, d3 = values
+    return DeltaMoments(*(math.fsum(a * b) / d1.size
+                          for a, b in ((d1, d1), (d2, d2), (d3, d3), (d1, d2), (d1, d3), (d2, d3))))
 
 
 @dataclass(frozen=True)
@@ -385,7 +385,6 @@ class EnsembleStats:
         mean: sample mean of L(W) (should be near 0).
         variance: sample variance (ddof=1).
         std_error: standard error of the variance estimate.
-        mean_std_error: standard error of the mean.
         grid_variance: exact variance of the discretized L(W) on the
             m-step warped grid; its gap to sigma^2 is the grid bias.
     """
@@ -397,7 +396,6 @@ class EnsembleStats:
     mean: float
     variance: float
     std_error: float
-    mean_std_error: float
     grid_variance: float
 
     def to_dict(self) -> dict:
@@ -426,23 +424,19 @@ def mc_variance(gamma1: float, gamma2: float, n_paths: int, m: int, seed: int) -
     (gamma1, gamma2, n_paths, m, seed), not on the core or BLAS thread
     count.
     """
-    _, rho = _tail_parameters(gamma1, gamma2)
-    grid = _warped_grid(rho, m)
+    grid = _warped_grid(_tail_parameters(gamma1, gamma2)[1], m)
     row = _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
-    values_out = _ensemble(row[np.newaxis], seed, n_paths)[0]
-    mean = math.fsum(values_out) / n_paths
-    centered = values_out - mean
+    return _ensemble_stats(gamma1, gamma2, row, _ensemble(row[np.newaxis], seed, n_paths)[0])
+
+
+def _ensemble_stats(gamma1: float, gamma2: float, row: np.ndarray,
+                    values: np.ndarray) -> EnsembleStats:
+    """EnsembleStats of the L(W) values an ensemble computed from row."""
+    n_paths = values.size
+    mean = math.fsum(values) / n_paths
+    centered = values - mean
     variance = math.fsum(centered * centered) / (n_paths - 1)
     m4 = math.fsum(centered ** 4) / n_paths
     var_of_var = max(m4 - (n_paths - 3) / (n_paths - 1) * variance ** 2, 0.0) / n_paths
-    return EnsembleStats(
-        gamma1=gamma1,
-        gamma2=gamma2,
-        n_paths=n_paths,
-        m=m,
-        mean=mean,
-        variance=variance,
-        std_error=math.sqrt(var_of_var),
-        mean_std_error=math.sqrt(variance / n_paths),
-        grid_variance=math.fsum(row * row),
-    )
+    return EnsembleStats(gamma1, gamma2, n_paths, row.size, mean, variance,
+                         math.sqrt(var_of_var), math.fsum(row * row))

@@ -243,14 +243,14 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
                workers: int) -> list[StudyRow]:
     """Run every (p, gamma1, delta, N, seed) cell, replicates split over processes.
 
-    The replicates of all cells form one task list.  With workers > 1
-    (capped at the task count and at the cores this process may use)
-    it is cut into that many interleaved slices tasks[w::workers]: one
-    pool of workers - 1 forked children runs slices 1.., the calling
-    process runs slice 0, and every slice is put back in place.  Each
-    replicate's seed is a content key, so the worker count never
-    changes a result, and a failing replicate raises as in a serial
-    run: the failure of the lowest task index wins.
+    The replicates of all cells form one task list, cut into `workers`
+    interleaved slices tasks[w::workers] (capped at the task count and
+    at the cores this process may use).  The calling process runs slice
+    0, a pool of workers - 1 forked children runs slices 1.., and every
+    slice is put back in place; a serial run is the one-slice case of
+    the same path.  Each replicate's seed is a content key, so the
+    worker count never changes a result, and the failure of the lowest
+    task index is the one raised, whichever process ran it.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -259,21 +259,21 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
         for p, gamma1, delta, big_n, seed in cells
         for r in range(replicates)
     ]
-    workers = min(workers, len(tasks), _worker_count())
+    workers = max(1, min(workers, len(tasks), _worker_count()))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor   # serial runs never load it
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             children = [pool.submit(_run_slice, tasks[w::workers]) for w in range(1, workers)]
             slices = [_run_slice(tasks[::workers])] + [child.result() for child in children]
-        failures = [(w + workers * len(done), exc)
-                    for w, (done, exc) in enumerate(slices) if exc is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        results = [None] * len(tasks)
-        for w, (done, _) in enumerate(slices):
-            results[w::workers] = done
     else:
-        results = [_run_replicate(t) for t in tasks]
+        slices = [_run_slice(tasks)]
+    failures = [(w + workers * len(done), exc)
+                for w, (done, exc) in enumerate(slices) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for w, (done, _) in enumerate(slices):
+        results[w::workers] = done
     rows = []
     for index, (p, gamma1, _, big_n, _) in enumerate(cells):
         kept = [r for r in results[index * replicates:(index + 1) * replicates]

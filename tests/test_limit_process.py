@@ -10,8 +10,9 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
                        limiting_rv, mc_variance, simulate_wiener,
                        transformed_grid)
 from trunctail import limit_process
-from trunctail.limit_process import (_delta_rows, _ensemble, _increment_weights,
-                                     _limit_weights, _segment_weights, _warped_grid)
+from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
+                                     _increment_weights, _limit_weights, _segment_weights,
+                                     _warped_grid)
 from trunctail.seeding import derive_rng
 
 
@@ -224,7 +225,7 @@ def test_mc_variance_reproducible_and_near_closed_form():
     assert a == b
     closed = asymptotic_variance(0.6, 1.4)
     assert abs(a.variance - closed) < 0.15
-    assert abs(a.mean) < 5.0 * a.mean_std_error
+    assert abs(a.mean) < 5.0 * math.sqrt(a.variance / a.n_paths)
     d = a.to_dict()
     assert d["sigma2_closed_form"] == pytest.approx(closed, rel=1e-14)
     assert set(d) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
@@ -275,6 +276,17 @@ def test_ensemble_bits_do_not_depend_on_thread_count(monkeypatch):
         results.append(_ensemble(rows, 77, 50))
     assert all(np.array_equal(r, results[0]) for r in results[1:])
     assert results[0].shape == (3, 50)
+
+
+def test_one_stacked_pass_gives_mc_variance_and_delta_moments_mc_exactly():
+    # L(W)'s row for (0.6, 1.4) lives on the rho = 0.7 grid of the Delta
+    # rows; the acceptance gates c4 and c5 read both statistics this way
+    m, n_paths, seed = 2 ** 10, 2000, 20260824
+    grid = _warped_grid(0.7, m)
+    row = _increment_weights(grid, _limit_weights(grid, 0.6, 1.4))
+    values = _ensemble(np.vstack([row, _delta_rows(0.7, m)]), seed, n_paths)
+    assert _ensemble_stats(0.6, 1.4, row, values[0]) == mc_variance(0.6, 1.4, n_paths, m, seed)
+    assert _delta_moments(values[1:]) == delta_moments_mc(0.7, n_paths, m, seed)
 
 
 def test_ensemble_pool_has_one_thread_per_core_capped_at_paths(monkeypatch):
