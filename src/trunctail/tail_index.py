@@ -28,9 +28,8 @@ vectorised.  Only the thresholds whose score could reach the minimum
 within the pass's rounding error are re-scored from the definition,
 with the pass's medians, so the choice is exactly a direct scan's.
 
-scipy is imported inside confidence_interval, the one function that
-uses it, so importing the package, or a run that asks for no
-interval, does not pay for loading it.
+The interval's normal quantile is _ndtri, a port of Cephes ndtri that
+gives scipy.special.ndtri's bits, so no estimate loads scipy.
 """
 
 import heapq
@@ -198,20 +197,76 @@ def asymptotic_variance(gamma1: float, gamma2: float) -> float:
     return gamma ** 2 * (1.0 + r) * (1.0 + r * r) / (1.0 - r) ** 3
 
 
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the code behind scipy.special.ndtri: P0/Q0 serve
+# |p - 1/2| < 1/2 - e^-2; P1/Q1 and P2/Q2 serve the tails in
+# x = sqrt(-2 log min(p, 1 - p)) below and from 8, each in 1/x.  Each Q
+# omits its leading 1.
+_S2PI = 2.50662827463100050242E0   # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189   # e^-2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _horner(x: float, coef: tuple, lead: float) -> float:
+    # lead*x^n + coef[0]*x^(n-1) + ...: Cephes polevl at lead 0.0 (0.0*x
+    # adds exactly nothing for a finite x), p1evl at lead 1.0
+    acc = lead
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile, bit for bit scipy.special.ndtri on [0, 1]."""
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _horner(y2, _P0, 0.0) / _horner(y2, _Q0, 1.0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x = x - math.log(x) / x - z * _horner(z, P, 0.0) / _horner(z, Q, 1.0)
+    return x if upper else -x
+
+
 def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
                         level: float = 0.95) -> ConfidenceInterval:
     """Plug-in normal interval gamma1_hat +/- z * sigma_hat / sqrt(k).
 
     Raises:
+        ValueError: if level is outside (0, 1), or so close to 1 that
+            its normal quantile z overflows.
         ModelViolationError: if gamma2_hat <= gamma1_hat, which leaves
             the plug-in variance undefined.
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
-    from scipy.special import ndtri   # the normal quantile; bitwise equal to norm.ppf
-
+    z = _ndtri(0.5 * (1.0 + level))   # bitwise equal to scipy.stats.norm.ppf
+    if not math.isfinite(z):
+        raise ValueError(f"level {level!r} is too close to 1: its normal quantile is infinite")
     sigma2 = asymptotic_variance(estimate.gamma1_hat, gamma2_hat)
-    z = float(ndtri(0.5 * (1.0 + level)))
     half = z * math.sqrt(sigma2 / estimate.k)
     return ConfidenceInterval(level=level,
                               lower=estimate.gamma1_hat - half,

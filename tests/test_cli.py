@@ -296,6 +296,17 @@ def test_replay_rejects_a_recorded_value_of_the_wrong_type(tmp_path, capsys, com
         f"error: manifest parameter {key!r} must be {expected}, got {value!r}\n")
 
 
+def test_estimate_rejects_a_level_whose_quantile_overflows(tmp_path, capsys):
+    # 0.5 * (1 + level) rounds to 1.0, which would report the bounds as +-Infinity
+    out = tmp_path / "est.json"
+    code = main(["estimate", _simulated_csv(tmp_path), "--level", "0.9999999999999999",
+                 "--json", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: level 0.9999999999999999 is too close to 1: "
+                                       "its normal quantile is infinite\n")
+    assert not out.exists()
+
+
 def test_replay_takes_a_json_integer_for_a_number(tmp_path, capsys):
     path = _recorded_manifest(tmp_path, "estimate")
     manifest = json.loads(path.read_text())
@@ -534,6 +545,5 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
     # neither scipy, numpy.ma nor multiprocessing; simulate runs serially here
     for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate"):
         assert seen[step] == [], step
-    assert "scipy.special" in seen["estimate"]   # the interval's normal quantile
-    assert not {"scipy.stats", "scipy.integrate"} & set(seen["estimate"])
+    assert seen["estimate"] == []   # with its interval, whose quantile is the package's own
     assert "scipy.integrate" in seen["mixed-family p"]

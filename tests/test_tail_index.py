@@ -10,7 +10,7 @@ from trunctail import (LYNDEN_BELL, WOODROOFE, DegenerateTailError,
                        fit_product_limit, full_report, gamma1_estimate,
                        gamma1_path, gamma2_for_target_p, hill, hill_path,
                        select_k_dispersion)
-from trunctail.tail_index import TailIndexEstimate
+from trunctail.tail_index import TailIndexEstimate, _ndtri
 from trunctail.truncation import TruncationModel
 
 
@@ -154,12 +154,39 @@ def test_confidence_interval_quantile_is_bitwise_norm_ppf():
         assert (ci.lower, ci.upper) == (-half, half), level
 
 
+def test_ndtri_is_bitwise_scipy_ndtri_on_every_branch():
+    from scipy.special import ndtri   # the oracle; the package runs the port
+
+    # e^-2 and 1 - e^-2 bound the central branch, and e^-32 and 1 - e^-32
+    # the far tails (x >= 8), which need a level above 1 - 2.5e-14
+    edges = [0.0, 1.0, 5e-324, math.nextafter(1.0, 0.0), 0.5]
+    for point in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0)):
+        below = above = point
+        edges.append(point)
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            edges += [below, above]
+    rng = np.random.default_rng(20150707)
+    p = np.concatenate([edges, rng.uniform(0.0, 1.0, 300_000),
+                        10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+                        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000)])
+    tail = np.minimum(p, 1.0 - p)
+    for low, high, side in [(math.exp(-2.0), 0.5, tail), (math.exp(-32.0), math.exp(-2.0), tail),
+                            (0.0, math.exp(-32.0), p), (0.0, math.exp(-32.0), 1.0 - p)]:
+        assert np.count_nonzero((low < side) & (side <= high)) > 1000, (low, high)
+    got = [_ndtri(q) for q in p.tolist()]
+    mismatches = [(q, a, b) for q, a, b in zip(p.tolist(), got, ndtri(p).tolist()) if a != b]
+    assert p.size > 500_000 and mismatches == []
+
+
 def test_confidence_interval_refuses_bad_ordering():
     est = TailIndexEstimate(gamma1_hat=0.9, k=50, variant=WOODROOFE, n=400)
     with pytest.raises(ModelViolationError):
         confidence_interval(est, gamma2_hat=0.5)
     with pytest.raises(ValueError):
         confidence_interval(est, gamma2_hat=1.4, level=1.5)
+    with pytest.raises(ValueError, match="too close to 1"):   # 0.5 * (1 + level) is 1.0
+        confidence_interval(est, gamma2_hat=1.4, level=math.nextafter(1.0, 0.0))
 
 
 def test_default_k_max():
