@@ -10,13 +10,15 @@ content - a stable hash of (master seed, cell parameters, replicate
 index) - so a row's numbers never depend on cell order, worker count
 or execution order.  Aggregation uses exact summation (math.fsum),
 which is associative in effect, so parallel runs are byte-identical to
-sequential ones.
+sequential ones.  Extra processes are forked children, one pipe each.
 """
 
 import csv
 import io
 import json
 import math
+import os
+import pickle
 from dataclasses import astuple, dataclass
 
 from .distributions import burr
@@ -214,6 +216,40 @@ def _run_slice(tasks) -> tuple[list, Exception | None]:
     return results, None
 
 
+def _fork_slice(tasks):
+    """Fork a child that pickles _run_slice(tasks) into a pipe; return (pid, read end).
+
+    The child leaves through os._exit: it never unwinds the caller's
+    stack, runs atexit handlers or flushes inherited stdio buffers.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            done, exc = _run_slice(tasks)
+            try:
+                payload = pickle.dumps((done, exc))
+                pickle.loads(payload)   # an exception can pickle and still fail to load
+            except Exception:
+                payload = pickle.dumps((done, RuntimeError(repr(exc))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _join_slice(pid, pipe) -> tuple[int, tuple | None]:
+    """Read a child's pipe to EOF and reap it: (exit code, (done, exc) or None if it failed)."""
+    with pipe:
+        payload = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return code, pickle.loads(payload) if payload and code == 0 else None
+
+
 def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
              variant: str = WOODROOFE, theta: float = 0.3, seed: int = 0,
              workers: int = 1) -> StudyRow:
@@ -233,8 +269,8 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
         seed: cell-level seed; replicate r uses the content key
             (seed, r).
         workers: processes to run on, the calling one included, capped
-            at the cores this process may use; any value yields
-            identical output.
+            at the cores this process may use (at 1 without os.fork);
+            any value yields identical output.
     """
     return _run_cells([(p, gamma1, delta, big_n, seed)], replicates, variant, theta, workers)[0]
 
@@ -244,13 +280,14 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
     """Run every (p, gamma1, delta, N, seed) cell, replicates split over processes.
 
     The replicates of all cells form one task list, cut into `workers`
-    interleaved slices tasks[w::workers] (capped at the task count and
-    at the cores this process may use).  The calling process runs slice
-    0, a pool of workers - 1 forked children runs slices 1.., and every
-    slice is put back in place; a serial run is the one-slice case of
-    the same path.  Each replicate's seed is a content key, so the
-    worker count never changes a result, and the failure of the lowest
-    task index is the one raised, whichever process ran it.
+    interleaved slices tasks[w::workers] (capped at the task count, the
+    cores this process may use, and 1 without os.fork).  The calling
+    process runs slice 0, forked children with a pipe each run slices
+    1.. (all reaped, even if slice 0 raises), and every slice is put
+    back in place; a serial run is the one-slice case of the same path.
+    Each replicate's seed is a content key, so the worker count never
+    changes a result, and the failure of the lowest task index is the
+    one raised, whichever process ran it.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -259,14 +296,18 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
         for p, gamma1, delta, big_n, seed in cells
         for r in range(replicates)
     ]
-    workers = max(1, min(workers, len(tasks), _worker_count()))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # serial runs never load it
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            children = [pool.submit(_run_slice, tasks[w::workers]) for w in range(1, workers)]
-            slices = [_run_slice(tasks[::workers])] + [child.result() for child in children]
-    else:
-        slices = [_run_slice(tasks)]
+    workers = max(1, min(workers, len(tasks), _worker_count() if hasattr(os, "fork") else 1))
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork_slice(tasks[w::workers]))
+        slices = [_run_slice(tasks[::workers])]
+    finally:
+        joined = [_join_slice(*child) for child in children]
+    for w, (code, result) in enumerate(joined, start=1):
+        if result is None:
+            raise RuntimeError(f"study worker {w} exited with code {code} and no result")
+        slices.append(result)
     failures = [(w + workers * len(done), exc)
                 for w, (done, exc) in enumerate(slices) if exc is not None]
     if failures:

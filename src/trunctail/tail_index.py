@@ -251,6 +251,16 @@ def _ndtri(p: float) -> float:
     return x if upper else -x
 
 
+def _interval_z(level: float) -> float:
+    """Normal quantile z of a two-sided interval; raises as confidence_interval documents."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie in (0, 1)")
+    z = _ndtri(0.5 * (1.0 + level))   # bitwise equal to scipy.stats.norm.ppf
+    if not math.isfinite(z):
+        raise ValueError(f"level {level!r} is too close to 1: its normal quantile is infinite")
+    return z
+
+
 def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
                         level: float = 0.95) -> ConfidenceInterval:
     """Plug-in normal interval gamma1_hat +/- z * sigma_hat / sqrt(k).
@@ -261,13 +271,8 @@ def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
         ModelViolationError: if gamma2_hat <= gamma1_hat, which leaves
             the plug-in variance undefined.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie in (0, 1)")
-    z = _ndtri(0.5 * (1.0 + level))   # bitwise equal to scipy.stats.norm.ppf
-    if not math.isfinite(z):
-        raise ValueError(f"level {level!r} is too close to 1: its normal quantile is infinite")
     sigma2 = asymptotic_variance(estimate.gamma1_hat, gamma2_hat)
-    half = z * math.sqrt(sigma2 / estimate.k)
+    half = _interval_z(level) * math.sqrt(sigma2 / estimate.k)
     return ConfidenceInterval(level=level,
                               lower=estimate.gamma1_hat - half,
                               upper=estimate.gamma1_hat + half)
@@ -495,8 +500,10 @@ def full_report(sample: TruncatedSample, k: int | None = None,
     a model-violation warning and the interval is refused rather than
     reporting an invalid variance.  An interval reaching down to 0 or
     below is kept as computed and named in a warning.  Pass level=None
-    to skip the interval.
+    to skip the interval; any other level is checked before fitting.
     """
+    if level is not None:
+        _interval_z(level)
     n = sample.n
     if n < 3:
         raise DegenerateTailError(f"need at least 3 observed pairs, got {n}")

@@ -307,6 +307,22 @@ def test_estimate_rejects_a_level_whose_quantile_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("level,message", [
+    ("1.5", "level must lie in (0, 1)"),
+    ("0.9999999999999999", "level 0.9999999999999999 is too close to 1: "
+                           "its normal quantile is infinite"),
+])
+def test_estimate_checks_the_level_where_no_interval_can_be_built(tmp_path, capsys,
+                                                                  level, message):
+    # 3 rows leave no gamma2 plug-in and so no interval, but a bad level
+    # is still bad input; with --no-ci the level is unused
+    path = _three_pair_csv(tmp_path)
+    assert main(["estimate", path, "--k", "1", "--level", level]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["estimate", path, "--k", "1", "--level", level, "--no-ci"]) == 0
+    assert json.loads(capsys.readouterr().out)["ci"] is None
+
+
 def test_replay_takes_a_json_integer_for_a_number(tmp_path, capsys):
     path = _recorded_manifest(tmp_path, "estimate")
     manifest = json.loads(path.read_text())
@@ -376,6 +392,27 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
     capsys.readouterr()
+
+
+_BUFFERED_THEN_FORK_SCRIPT = """
+import sys
+from trunctail import StudyConfig, montecarlo, run_study
+montecarlo._worker_count = lambda: 2   # fork a child even on one core
+sys.stdout.write("written once, before the fork\\n")   # held in the pipe's buffer
+config = StudyConfig.from_dict({"cells": [{"p": 0.7, "gamma1": 0.6, "N": 150}],
+                                "replicates": 4})
+run_study(config, workers=2)
+"""
+
+
+def test_forked_study_children_do_not_repeat_buffered_output():
+    # a child that left through sys.exit or a return would flush its copy
+    # of the caller's stdout buffer, printing the line a second time
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", _BUFFERED_THEN_FORK_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout == "written once, before the fork\n"
 
 
 @pytest.mark.parametrize("flag,value", [("--variant", "lynden-bell"),
@@ -509,9 +546,10 @@ _COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 
 def watched_modules():
-    # scipy, plus what np.median (numpy.ma) and a process pool (multiprocessing) load
+    # scipy, plus what np.median (numpy.ma) and a process pool
+    # (multiprocessing, concurrent.futures.process) load
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
-                  or m in ("numpy.ma", "multiprocessing"))
+                  or m in ("numpy.ma", "multiprocessing", "concurrent.futures.process"))
 
 csv_path, study_prefix, out_path = sys.argv[1:]
 seen = {}
@@ -526,6 +564,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
                                "--reps", "2", "--seed", "1", "--out", study_prefix]) == 0
     seen["simulate"] = watched_modules()
+    trunctail.montecarlo._worker_count = lambda: 2   # fork a child even on one core
+    assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
+                               "--reps", "2", "--seed", "1", "--threads", "2",
+                               "--out", study_prefix]) == 0
+    seen["simulate --threads 2"] = watched_modules()
     assert trunctail.cli.main(["estimate", csv_path]) == 0
     seen["estimate"] = watched_modules()
 trunctail.TruncationModel(trunctail.burr(0.25, 0.6), trunctail.pareto(1.4)).p
@@ -542,8 +585,9 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
                     str(tmp_path / "study"), str(out_path)],
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
-    # neither scipy, numpy.ma nor multiprocessing; simulate runs serially here
-    for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate"):
+    # neither scipy, numpy.ma nor a process pool; a parallel study forks its children
+    for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate",
+                 "simulate --threads 2"):
         assert seen[step] == [], step
     assert seen["estimate"] == []   # with its interval, whose quantile is the package's own
     assert "scipy.integrate" in seen["mixed-family p"]

@@ -1,7 +1,7 @@
-import concurrent.futures
+import contextlib
 import json
 import math
-import multiprocessing
+import os
 import signal
 
 import numpy as np
@@ -117,30 +117,24 @@ _THREE_CELLS = {
 }
 
 
-def test_one_pool_per_study_capped_at_task_count(monkeypatch):
-    sizes, ran, in_child = [], [], [False]
+def test_one_child_per_extra_slice_capped_at_task_count(monkeypatch):
+    forks, joins, ran, in_child = [], [], [], [False]
 
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs each
-        submission in-process at once and flags it as a child's."""
+    def fork_in_process(tasks):
+        """Stands in for _fork_slice: runs the slice in-process at once,
+        flagged as a child's, and returns a stand-in pid with its result."""
+        in_child[0] = True
+        try:
+            result = montecarlo._run_slice(tasks)
+        finally:
+            in_child[0] = False
+        forks.append(len(forks) + 1)
+        return forks[-1], result
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            in_child[0] = True
-            try:
-                future.set_result(fn(*args))
-            finally:
-                in_child[0] = False
-            return future
+    def join_in_process(pid, result):
+        """Stands in for _join_slice: the child exited 0 with its result."""
+        joins.append(pid)
+        return 0, result
 
     replicate = montecarlo._run_replicate
 
@@ -149,20 +143,31 @@ def test_one_pool_per_study_capped_at_task_count(monkeypatch):
         return replicate(task)
 
     def split():
-        """Tasks run by the caller, and by the children in submission order."""
+        """Tasks run by the caller, and by the children in fork order."""
         return ([task for task, child in ran if not child],
                 [task for task, child in ran if child])
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def children_of(study):
+        """One study run's result and the children it forked, each
+        joined once, in fork order."""
+        forks.clear()
+        joins.clear()
+        result = study()
+        assert joins == forks
+        return result, len(forks)
+
+    monkeypatch.setattr(montecarlo, "_fork_slice", fork_in_process)
+    monkeypatch.setattr(montecarlo, "_join_slice", join_in_process)
     monkeypatch.setattr(montecarlo, "_run_replicate", recorded)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 64)
-    serial = run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1)
+    serial, children = children_of(
+        lambda: run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1))
     tasks = [task for task, _ in ran]
-    assert sizes == [] and len(tasks) == 3
+    assert children == 0 and len(tasks) == 3
     ran.clear()
     # capped at the task count: 3 processes, the caller and two children
-    assert run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8) == serial
-    assert sizes == [2]
+    assert children_of(
+        lambda: run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=8)) == (serial, 2)
     assert split() == (tasks[::3], tasks[1::3] + tasks[2::3])
 
     config = StudyConfig.from_dict(_THREE_CELLS)
@@ -173,20 +178,53 @@ def test_one_pool_per_study_capped_at_task_count(monkeypatch):
     # capped at the cores: 5 processes, the caller and four children
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 5)
     ran.clear()
-    assert run_study(config, workers=64) == serial
-    assert sizes == [2, 4]
+    assert children_of(lambda: run_study(config, workers=64)) == (serial, 4)
     assert split() == (tasks[::5], [t for w in range(1, 5) for t in tasks[w::5]])
-    # one core: the serial loop, no pool
+    # one core: the serial loop, no child
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
-    assert run_study(config, workers=64) == serial
-    assert sizes == [2, 4]
+    assert children_of(lambda: run_study(config, workers=64)) == (serial, 0)
+    # no os.fork: the serial loop too, whatever the cores
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 64)
+    monkeypatch.delattr(os, "fork")
+    assert children_of(lambda: run_study(config, workers=64)) == (serial, 0)
 
 
-@pytest.mark.parametrize("failing", [{0}, {1}, {1, 2}, {2, 3}])
-def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, failing):
-    # a real pool with one forked child: replicates 0 and 2 run in the
-    # caller, 1 and 3 in the child; the lowest failing replicate's
-    # NumericError surfaces wherever it was raised
+@pytest.fixture
+def forked_pids(monkeypatch):
+    """Pids of the study's forked children not yet reaped; a run that has
+    not returned in 60 s kills them and fails instead of stalling the suite."""
+    pids = []
+    fork_slice, join_slice = montecarlo._fork_slice, montecarlo._join_slice
+
+    def forked(tasks):
+        child = fork_slice(tasks)
+        pids.append(child[0])
+        return child
+
+    def joined(pid, pipe):
+        result = join_slice(pid, pipe)
+        pids.remove(pid)   # reaped: the pid may now belong to another process
+        return result
+
+    def hung(*_):
+        for pid in pids:   # else the caller's read of its pipe waits on it
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        raise TimeoutError("run_study did not return in time")
+
+    monkeypatch.setattr(montecarlo, "_fork_slice", forked)
+    monkeypatch.setattr(montecarlo, "_join_slice", joined)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _failing_at(monkeypatch, failures):
+    """A one-cell, 4-replicate study whose replicate r raises failures[r]()."""
     config = StudyConfig.from_dict(_config(cells=[{"p": 0.7, "gamma1": 0.6, "N": 150}],
                                            replicates=4))
     cell_seed = stable_key("cell", 5, 0.7, 0.6, 0.25, 150)
@@ -195,28 +233,83 @@ def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, failing):
 
     def flaky(task):
         r = seeds.index(task[-1])
-        if r in failing:
-            raise NumericError(f"replicate {r} did not converge")
+        if r in failures:
+            raise failures[r]()
         return replicate(task)
 
     monkeypatch.setattr(montecarlo, "_run_replicate", flaky)
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    return config
+
+
+@pytest.mark.parametrize("failing", [{0}, {1}, {1, 2}, {2, 3}])
+def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, forked_pids, failing):
+    # real forked children: at 2 workers replicates 0 and 2 run in the
+    # caller, 1 and 3 in the child, at 3 workers 0 and 3 in the caller;
+    # the lowest failing replicate's NumericError surfaces wherever it
+    # was raised
+    config = _failing_at(monkeypatch, {
+        r: lambda r=r: NumericError(f"replicate {r} did not converge") for r in failing})
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
     expected = f"^replicate {min(failing)} did not converge$"
+    for workers in (1, 2, 3):
+        with pytest.raises(NumericError, match=expected):
+            run_study(config, workers=workers)
+    assert forked_pids == []
 
-    def hung(*_):
-        for child in multiprocessing.active_children():   # else the pool's exit waits on it
-            child.terminate()
-        raise TimeoutError("run_study did not return in time")
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        for workers in (1, 2):
-            with pytest.raises(NumericError, match=expected):
-                run_study(config, workers=workers)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+class _TwoArgError(Exception):
+    """Pickles, but loading it calls __init__ with one argument and fails."""
+
+    def __init__(self, replicate, reason):
+        super().__init__(f"replicate {replicate} {reason}")
+
+
+@pytest.mark.parametrize("kind", ["local-class", "two-arg-init"])
+@pytest.mark.parametrize("child_replicate", [1, 3])
+def test_unpicklable_child_exception_surfaces_as_text(monkeypatch, forked_pids, kind,
+                                                      child_replicate):
+    # replicates 0 and 2 run in the caller, 1 and 3 in the child; the
+    # child's exception cannot cross the pipe and arrives as a
+    # RuntimeError holding its repr, and the lower index still wins
+    # against the caller's NumericError at replicate 2
+    class LocalError(Exception):
+        pass
+
+    def unsendable():
+        if kind == "local-class":
+            return LocalError(f"replicate {child_replicate} cannot travel")
+        return _TwoArgError(child_replicate, "cannot travel")
+
+    config = _failing_at(monkeypatch, {
+        child_replicate: unsendable,
+        2: lambda: NumericError("replicate 2 did not converge")})
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError) as raised:
+        run_study(config, workers=2)
+    if child_replicate == 1:
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == repr(unsendable())
+    else:
+        assert type(raised.value) is NumericError
+        assert str(raised.value) == "replicate 2 did not converge"
+    assert forked_pids == []
+
+
+def test_a_child_that_exits_without_a_result_is_named_and_reaped(monkeypatch, forked_pids):
+    parent, run_slice = os.getpid(), montecarlo._run_slice
+
+    def dies_in_a_child(tasks):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run_slice(tasks)
+
+    monkeypatch.setattr(montecarlo, "_run_slice", dies_in_a_child)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="^study worker 1 exited with code 3 and no result$"):
+        run_study(StudyConfig.from_dict(_THREE_CELLS), workers=3)
+    assert forked_pids == []
+    with pytest.raises(ChildProcessError):   # both children reaped, none left behind
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_study_parallel_bytes_match_serial_across_cells():
