@@ -45,22 +45,20 @@ also gives the exact variance of the discretized L(W), sum_l a_l^2, so
 mc_variance can split its error into grid bias and Monte Carlo noise.
 Every weight reduction in this module is numpy's fixed-order
 np.add.reduce, never BLAS, whose thread count would change the sums.
-Paths run in contiguous chunks, one thread per available core (the
-normal fill and the ufuncs release the GIL); each path writes its own
-slot and aggregation uses math.fsum, so the output depends neither on
-the number of cores nor on the number of BLAS threads.
+Paths run on seeding._map, forked processes up to one per available
+core (serially without os.fork); each path's values depend only on its
+own stream and aggregation uses math.fsum, so the output depends
+neither on the number of cores nor on the number of BLAS threads.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ModelViolationError, NumericError
-from .seeding import derive_rng
+from .seeding import _map, derive_rng
 
 __all__ = [
     "DeltaMoments",
@@ -248,10 +246,10 @@ def _limit_weights(grid: np.ndarray, gamma1: float, gamma2: float) -> np.ndarray
     return weights
 
 
-def _weigh(weights, x, prod=None, out=None):
+def _weigh(weights, x, prod=None):
     """Sum of weights * x over the last axis, in numpy's fixed pairwise
-    order (no BLAS); prod and out are optional preallocated buffers."""
-    return np.add.reduce(np.multiply(weights, x, out=prod), axis=-1, out=out)
+    order (no BLAS); prod is an optional preallocated buffer."""
+    return np.add.reduce(np.multiply(weights, x, out=prod), axis=-1)
 
 
 def _increment_weights(grid: np.ndarray, node_weights: np.ndarray) -> np.ndarray:
@@ -310,14 +308,6 @@ def combined_delta_second_moment(gamma1: float, gamma2: float) -> float:
             + 2.0 * a * b * mom.d12 - 2.0 * a * mom.d13 - 2.0 * b * mom.d23)
 
 
-def _worker_count() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
 def _warped_grid(rho: float, m: int) -> np.ndarray:
     return transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
 
@@ -335,28 +325,20 @@ def _ensemble(rows: np.ndarray, seed: int, n_paths: int) -> np.ndarray:
     """rows @ z for the increments z of n_paths Wiener paths, shape
     (len(rows), n_paths).
 
-    Path i draws z from the stream (seed, i) and writes only its own
-    slot, so the result does not depend on how the paths are split
-    over threads.
+    Path i draws z from the stream (seed, i), so the result does not
+    depend on how the paths are split over processes.  Each forked
+    process writes only its own copy of the buffers z and prod.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be >= 2")
-    out = np.empty((n_paths, rows.shape[0]))
+    z = np.empty(rows.shape[1])
+    prod = np.empty(rows.shape)
 
-    def run(lo, hi):
-        z = np.empty(rows.shape[1])
-        prod = np.empty(rows.shape)
-        for i in range(lo, hi):
-            derive_rng(seed, i).standard_normal(out=z)
-            _weigh(rows, z, prod, out[i])
+    def path(i):
+        derive_rng(seed, i).standard_normal(out=z)
+        return _weigh(rows, z, prod).tolist()
 
-    n_workers = min(_worker_count(), n_paths)
-    bounds = [n_paths * t // n_workers for t in range(n_workers + 1)]
-    with ThreadPoolExecutor(n_workers) as pool:
-        chunks = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        for chunk in chunks:
-            chunk.result()
-    return out.T
+    return np.array(_map(path, range(n_paths), n_paths)).T
 
 
 def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoments:

@@ -10,22 +10,20 @@ content - a stable hash of (master seed, cell parameters, replicate
 index) - so a row's numbers never depend on cell order, worker count
 or execution order.  Aggregation uses exact summation (math.fsum),
 which is associative in effect, so parallel runs are byte-identical to
-sequential ones.  Extra processes are forked children, one pipe each.
+sequential ones.  Replicates run on seeding._map, the package's one
+executor.
 """
 
 import csv
 import io
 import json
 import math
-import os
-import pickle
 from dataclasses import astuple, dataclass
 
 from .distributions import burr
 from .errors import DegenerateTailError, EmptySampleError
-from .limit_process import _worker_count
 from .product_limit import LYNDEN_BELL, WOODROOFE
-from .seeding import stable_key
+from .seeding import _map, stable_key
 from .tail_index import gamma1_path, select_k_dispersion
 from .truncation import TruncationModel, gamma2_for_target_p
 
@@ -200,56 +198,6 @@ def _run_replicate(args) -> tuple[int, int, float] | None:
     return sample.n, k_star, float(path[k_star])
 
 
-def _run_slice(tasks) -> tuple[list, Exception | None]:
-    """Replicates of tasks in order, up to the first that raises.
-
-    Returns the results before the failure and the exception (None if
-    every task ran), so the caller can re-raise the failure of the
-    lowest task index whichever process ran it.
-    """
-    results = []
-    for task in tasks:
-        try:
-            results.append(_run_replicate(task))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
-def _fork_slice(tasks):
-    """Fork a child that pickles _run_slice(tasks) into a pipe; return (pid, read end).
-
-    The child leaves through os._exit: it never unwinds the caller's
-    stack, runs atexit handlers or flushes inherited stdio buffers.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            done, exc = _run_slice(tasks)
-            try:
-                payload = pickle.dumps((done, exc))
-                pickle.loads(payload)   # an exception can pickle and still fail to load
-            except Exception:
-                payload = pickle.dumps((done, RuntimeError(repr(exc))))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _join_slice(pid, pipe) -> tuple[int, tuple | None]:
-    """Read a child's pipe to EOF and reap it: (exit code, (done, exc) or None if it failed)."""
-    with pipe:
-        payload = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return code, pickle.loads(payload) if payload and code == 0 else None
-
-
 def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
              variant: str = WOODROOFE, theta: float = 0.3, seed: int = 0,
              workers: int = 1) -> StudyRow:
@@ -277,18 +225,8 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
 
 def _run_cells(cells, replicates: int, variant: str, theta: float,
                workers: int) -> list[StudyRow]:
-    """Run every (p, gamma1, delta, N, seed) cell, replicates split over processes.
-
-    The replicates of all cells form one task list, cut into `workers`
-    interleaved slices tasks[w::workers] (capped at the task count, the
-    cores this process may use, and 1 without os.fork).  The calling
-    process runs slice 0, forked children with a pipe each run slices
-    1.. (all reaped, even if slice 0 raises), and every slice is put
-    back in place; a serial run is the one-slice case of the same path.
-    Each replicate's seed is a content key, so the worker count never
-    changes a result, and the failure of the lowest task index is the
-    one raised, whichever process ran it.
-    """
+    """Run every (p, gamma1, delta, N, seed) cell; the replicates of all
+    cells form one task list for seeding._map."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     tasks = [
@@ -296,25 +234,7 @@ def _run_cells(cells, replicates: int, variant: str, theta: float,
         for p, gamma1, delta, big_n, seed in cells
         for r in range(replicates)
     ]
-    workers = max(1, min(workers, len(tasks), _worker_count() if hasattr(os, "fork") else 1))
-    children = []
-    try:
-        for w in range(1, workers):
-            children.append(_fork_slice(tasks[w::workers]))
-        slices = [_run_slice(tasks[::workers])]
-    finally:
-        joined = [_join_slice(*child) for child in children]
-    for w, (code, result) in enumerate(joined, start=1):
-        if result is None:
-            raise RuntimeError(f"study worker {w} exited with code {code} and no result")
-        slices.append(result)
-    failures = [(w + workers * len(done), exc)
-                for w, (done, exc) in enumerate(slices) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results = [None] * len(tasks)
-    for w, (done, _) in enumerate(slices):
-        results[w::workers] = done
+    results = _map(_run_replicate, tasks, workers)
     rows = []
     for index, (p, gamma1, _, big_n, _) in enumerate(cells):
         kept = [r for r in results[index * replicates:(index + 1) * replicates]

@@ -58,8 +58,9 @@ class TruncatedSample:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if self.x.size == 0:
             raise EmptySampleError("sample contains no pairs")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise ValueError("sample values must be finite")
+        bad = ~(np.isfinite(self.x) & np.isfinite(self.y))
+        if np.any(bad):
+            raise ValueError(f"non-finite value at data row(s) {_data_rows(bad)}")
         bad = self.x > self.y
         if np.any(bad):
             raise ValueError(f"x > y at data row(s) {_data_rows(bad)}")

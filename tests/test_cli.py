@@ -13,7 +13,7 @@ import pytest
 import trunctail
 from trunctail import (TruncatedSample, burr, full_report, gamma1_path,
                        gamma2_for_target_p)
-from trunctail import cli, limit_process, tail_index
+from trunctail import cli, seeding, tail_index
 from trunctail.cli import main
 from trunctail.truncation import TruncationModel
 
@@ -396,23 +396,28 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
 
 _BUFFERED_THEN_FORK_SCRIPT = """
 import sys
-from trunctail import StudyConfig, montecarlo, run_study
-montecarlo._worker_count = lambda: 2   # fork a child even on one core
+from trunctail import StudyConfig, cli, run_study, seeding
+seeding._worker_count = lambda: 2   # fork a child even on one core
 sys.stdout.write("written once, before the fork\\n")   # held in the pipe's buffer
 config = StudyConfig.from_dict({"cells": [{"p": 0.7, "gamma1": 0.6, "N": 150}],
                                 "replicates": 4})
 run_study(config, workers=2)
+sys.exit(cli.main(["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
+                   "--paths", "4", "--m", "64", "--seed", "1"]))
 """
 
 
 def test_forked_study_children_do_not_repeat_buffered_output():
     # a child that left through sys.exit or a return would flush its copy
-    # of the caller's stdout buffer, printing the line a second time
+    # of the caller's stdout buffer, printing the line a second time; the
+    # study and limit-check each fork one child with the line still held
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run([sys.executable, "-c", _BUFFERED_THEN_FORK_SCRIPT], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout == "written once, before the fork\n"
+    line, _, report = done.stdout.partition("\n")
+    assert line == "written once, before the fork"
+    assert json.loads(report)["n_paths"] == 4   # one JSON document, written once
 
 
 @pytest.mark.parametrize("flag,value", [("--variant", "lynden-bell"),
@@ -517,12 +522,13 @@ def test_limit_check_rejects_bad_ordering(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--paths", "1"), ("--m", "1"), ("--gamma1", "-1")])
-def test_limit_check_bad_input_exits_2_before_any_thread_starts(capsys, monkeypatch,
-                                                                 flag, value):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the thread pool was started")
+def test_limit_check_bad_input_exits_2_before_any_child_is_forked(capsys, monkeypatch,
+                                                                   flag, value):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(limit_process, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(seeding, "_fork_slice", no_fork)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 2)   # valid input would fork
     args = {"--gamma1": "0.6", "--gamma2": "1.4", "--paths": "100", "--m": "128",
             "--seed": "1", flag: value}
     code = main(["limit-check"] + [part for item in args.items() for part in item])
@@ -546,10 +552,11 @@ _COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 
 def watched_modules():
-    # scipy, plus what np.median (numpy.ma) and a process pool
-    # (multiprocessing, concurrent.futures.process) load
+    # scipy, plus what np.median (numpy.ma) and a thread or process pool
+    # (multiprocessing, concurrent.futures) load
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
-                  or m in ("numpy.ma", "multiprocessing", "concurrent.futures.process"))
+                  or m in ("numpy.ma", "multiprocessing", "concurrent.futures",
+                           "concurrent.futures.process"))
 
 csv_path, study_prefix, out_path = sys.argv[1:]
 seen = {}
@@ -564,7 +571,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
                                "--reps", "2", "--seed", "1", "--out", study_prefix]) == 0
     seen["simulate"] = watched_modules()
-    trunctail.montecarlo._worker_count = lambda: 2   # fork a child even on one core
+    trunctail.seeding._worker_count = lambda: 2   # fork a child even on one core
     assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
                                "--reps", "2", "--seed", "1", "--threads", "2",
                                "--out", study_prefix]) == 0
@@ -585,7 +592,7 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
                     str(tmp_path / "study"), str(out_path)],
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
-    # neither scipy, numpy.ma nor a process pool; a parallel study forks its children
+    # neither scipy, numpy.ma nor a thread or process pool; parallel runs fork children
     for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate",
                  "simulate --threads 2"):
         assert seen[step] == [], step

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
                        delta_moments, delta_moments_mc, gamma_process,
                        limiting_rv, mc_variance, simulate_wiener,
                        transformed_grid)
-from trunctail import limit_process
+from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
                                      _increment_weights, _limit_weights, _segment_weights,
                                      _warped_grid)
@@ -272,7 +273,7 @@ def test_ensemble_bits_do_not_depend_on_thread_count(monkeypatch):
     rows = _delta_rows(0.7, 2048)
     results = []
     for threads in (1, 2, 3):
-        monkeypatch.setattr(limit_process, "_worker_count", lambda: threads)
+        monkeypatch.setattr(seeding, "_worker_count", lambda: threads)
         results.append(_ensemble(rows, 77, 50))
     assert all(np.array_equal(r, results[0]) for r in results[1:])
     assert results[0].shape == (3, 50)
@@ -289,19 +290,26 @@ def test_one_stacked_pass_gives_mc_variance_and_delta_moments_mc_exactly():
     assert _delta_moments(values[1:]) == delta_moments_mc(0.7, n_paths, m, seed)
 
 
-def test_ensemble_pool_has_one_thread_per_core_capped_at_paths(monkeypatch):
-    sizes = []
+def test_ensemble_forks_one_child_per_extra_core_capped_at_paths(monkeypatch):
+    rows = _delta_rows(0.7, 64)
+    serial = [_ensemble(rows, 1, n_paths) for n_paths in (3, 20)]
+    pids, fork_slice = [], seeding._fork_slice
 
-    class Recording(limit_process.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    def forked(fn, tasks):
+        child = fork_slice(fn, tasks)
+        pids.append(child[0])
+        return child
 
-    monkeypatch.setattr(limit_process, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(limit_process, "_worker_count", lambda: 8)
-    _ensemble(_delta_rows(0.7, 64), 1, 3)
-    _ensemble(_delta_rows(0.7, 64), 1, 20)
-    assert sizes == [3, 8]
+    monkeypatch.setattr(seeding, "_fork_slice", forked)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 8)
+    children = []
+    for n_paths, expected in zip((3, 20), serial):
+        pids.clear()
+        assert np.array_equal(_ensemble(rows, 1, n_paths), expected)
+        children.append(len(pids))
+    assert children == [2, 7]
+    with pytest.raises(ChildProcessError):   # every child reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("gamma1,gamma2,bias", [(0.6, 1.4, -1.79e-6), (0.8, 7.2, -1.5e-7)])

@@ -10,7 +10,7 @@ import pytest
 from trunctail import (DegenerateTailError, NumericError, StudyConfig, StudyReport,
                        StudyRow, burr, gamma1_path, gamma2_for_target_p,
                        run_cell, run_study, select_k_dispersion)
-from trunctail import montecarlo
+from trunctail import montecarlo, seeding
 from trunctail.montecarlo import CSV_HEADER, CellSpec, _run_replicate
 from trunctail.seeding import stable_key
 from trunctail.truncation import TruncationModel
@@ -120,12 +120,12 @@ _THREE_CELLS = {
 def test_one_child_per_extra_slice_capped_at_task_count(monkeypatch):
     forks, joins, ran, in_child = [], [], [], [False]
 
-    def fork_in_process(tasks):
+    def fork_in_process(fn, tasks):
         """Stands in for _fork_slice: runs the slice in-process at once,
         flagged as a child's, and returns a stand-in pid with its result."""
         in_child[0] = True
         try:
-            result = montecarlo._run_slice(tasks)
+            result = seeding._run_slice(fn, tasks)
         finally:
             in_child[0] = False
         forks.append(len(forks) + 1)
@@ -156,10 +156,10 @@ def test_one_child_per_extra_slice_capped_at_task_count(monkeypatch):
         assert joins == forks
         return result, len(forks)
 
-    monkeypatch.setattr(montecarlo, "_fork_slice", fork_in_process)
-    monkeypatch.setattr(montecarlo, "_join_slice", join_in_process)
+    monkeypatch.setattr(seeding, "_fork_slice", fork_in_process)
+    monkeypatch.setattr(seeding, "_join_slice", join_in_process)
     monkeypatch.setattr(montecarlo, "_run_replicate", recorded)
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 64)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 64)
     serial, children = children_of(
         lambda: run_cell(0.7, 0.6, 0.25, 150, replicates=3, seed=3, workers=1))
     tasks = [task for task, _ in ran]
@@ -176,15 +176,15 @@ def test_one_child_per_extra_slice_capped_at_task_count(monkeypatch):
     tasks = [task for task, _ in ran]
     assert len(tasks) == 12
     # capped at the cores: 5 processes, the caller and four children
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 5)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 5)
     ran.clear()
     assert children_of(lambda: run_study(config, workers=64)) == (serial, 4)
     assert split() == (tasks[::5], [t for w in range(1, 5) for t in tasks[w::5]])
     # one core: the serial loop, no child
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 1)
     assert children_of(lambda: run_study(config, workers=64)) == (serial, 0)
     # no os.fork: the serial loop too, whatever the cores
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 64)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 64)
     monkeypatch.delattr(os, "fork")
     assert children_of(lambda: run_study(config, workers=64)) == (serial, 0)
 
@@ -194,10 +194,10 @@ def forked_pids(monkeypatch):
     """Pids of the study's forked children not yet reaped; a run that has
     not returned in 60 s kills them and fails instead of stalling the suite."""
     pids = []
-    fork_slice, join_slice = montecarlo._fork_slice, montecarlo._join_slice
+    fork_slice, join_slice = seeding._fork_slice, seeding._join_slice
 
-    def forked(tasks):
-        child = fork_slice(tasks)
+    def forked(fn, tasks):
+        child = fork_slice(fn, tasks)
         pids.append(child[0])
         return child
 
@@ -212,8 +212,8 @@ def forked_pids(monkeypatch):
                 os.kill(pid, signal.SIGKILL)
         raise TimeoutError("run_study did not return in time")
 
-    monkeypatch.setattr(montecarlo, "_fork_slice", forked)
-    monkeypatch.setattr(montecarlo, "_join_slice", joined)
+    monkeypatch.setattr(seeding, "_fork_slice", forked)
+    monkeypatch.setattr(seeding, "_join_slice", joined)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
@@ -249,7 +249,7 @@ def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, forked_pids, f
     # was raised
     config = _failing_at(monkeypatch, {
         r: lambda r=r: NumericError(f"replicate {r} did not converge") for r in failing})
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 3)
     expected = f"^replicate {min(failing)} did not converge$"
     for workers in (1, 2, 3):
         with pytest.raises(NumericError, match=expected):
@@ -283,7 +283,7 @@ def test_unpicklable_child_exception_surfaces_as_text(monkeypatch, forked_pids, 
     config = _failing_at(monkeypatch, {
         child_replicate: unsendable,
         2: lambda: NumericError("replicate 2 did not converge")})
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 2)
     with pytest.raises(RuntimeError) as raised:
         run_study(config, workers=2)
     if child_replicate == 1:
@@ -296,16 +296,16 @@ def test_unpicklable_child_exception_surfaces_as_text(monkeypatch, forked_pids, 
 
 
 def test_a_child_that_exits_without_a_result_is_named_and_reaped(monkeypatch, forked_pids):
-    parent, run_slice = os.getpid(), montecarlo._run_slice
+    parent, run_slice = os.getpid(), seeding._run_slice
 
-    def dies_in_a_child(tasks):
+    def dies_in_a_child(fn, tasks):
         if os.getpid() != parent:
             os._exit(3)
-        return run_slice(tasks)
+        return run_slice(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "_run_slice", dies_in_a_child)
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
-    with pytest.raises(RuntimeError, match="^study worker 1 exited with code 3 and no result$"):
+    monkeypatch.setattr(seeding, "_run_slice", dies_in_a_child)
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="^worker 1 exited with code 3 and no result$"):
         run_study(StudyConfig.from_dict(_THREE_CELLS), workers=3)
     assert forked_pids == []
     with pytest.raises(ChildProcessError):   # both children reaped, none left behind

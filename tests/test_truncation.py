@@ -53,6 +53,8 @@ def test_csv_diagnostics():
         TruncatedSample.read_csv(io.StringIO("x,y\n1,3\n\n5,2\n4,6\n"))
     with pytest.raises(ValueError, match="no data rows"):
         TruncatedSample.read_csv(io.StringIO("x,y\n"))
+    with pytest.raises(ValueError, match=r"^non-finite value at data row\(s\) 2, 3$"):
+        TruncatedSample.read_csv(io.StringIO("x,y\n1,2\nnan,3\n2,inf\n"))
 
 
 def test_gamma2_for_target_p():
