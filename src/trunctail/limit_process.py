@@ -21,7 +21,7 @@ only against W(s) ~ s^(1/2).  Two measures keep this exact and cheap:
   closed form per segment (no quadrature grid, no truncation near 0),
   so every functional here is exactly linear in the path values.  One
   kernel, _segment_weights, turns a grid into node weights for every
-  such integral; gamma_process reuses it on the grid cut at
+  such integral; gamma_process's row reuses it on the grid cut at
   c = x^(-1/gamma), with (c, W(c)) as the last node.
 * Monte Carlo ensembles sample W at the warped times s_j = (j/m)^q
   with q = 2/(2 rho - 1).  On a uniform grid the first cell [0, 1/m]
@@ -39,10 +39,10 @@ a_l = sd_l * sum_{j>=l} w_j.  _ensemble takes a stack of such rows
 and a path costs one normal fill from its own stream (seed, i) and one
 product-and-sum over the stack.  mc_variance passes L(W)'s row and
 delta_moments_mc the three Delta rows, and each aggregates the values
-in its own helper.  Each row is reduced on its own, so a stack of rows
-from one grid gives every row the bits of its own pass.  The L(W) row
-also gives the exact variance of the discretized L(W), sum_l a_l^2, so
-mc_variance can split its error into grid bias and Monte Carlo noise.
+in its own helper.  Each row is reduced on its own, so rows from any
+grids with the same m stack and keep the bits of their own passes.  A
+row also gives its functional's exact variance on the grid, sum a_l^2,
+so mc_variance can split its error into grid bias and Monte Carlo noise.
 Every weight reduction in this module is numpy's fixed-order
 np.add.reduce, never BLAS, whose thread count would change the sums.
 Paths run on seeding._map, forked processes up to one per available
@@ -203,30 +203,40 @@ def gamma_process(x: float, path: WienerPath, gamma1: float, gamma2: float) -> f
                     {x^(1/gamma) W(x^(-1/gamma) s) - W(s)} ds
 
     with the path linearly interpolated and each segment integrated in
-    closed form.  At x = 1 both braces vanish identically and the
+    closed form.  Like L(W), Gamma(x) is a node-weight row w @ values
+    (_process_weights).  At x = 1 both braces vanish identically and the
     result is exactly 0.0.  Points x < 1 would read the path beyond
     time 1 and are rejected.
     """
-    gamma, _ = _tail_parameters(gamma1, gamma2)
     x = float(x)
     if not (np.isfinite(x) and x >= 1.0):
         raise ValueError("x must satisfy x >= 1 (the path lives on [0, 1])")
-    grid, values = path.grid, path.values
+    return float(_weigh(_process_weights(path.grid, x, gamma1, gamma2), path.values))
+
+
+def _process_weights(grid: np.ndarray, x: float, gamma1: float, gamma2: float) -> np.ndarray:
+    """Node weights w with gamma_process(x) = w @ values on this grid.
+
+    The grid cut at c = x^(-1/gamma) integrates the path over [0, c]; its
+    last node (c, W(c)) splits its weight linearly onto nodes j-1 and j.
+    The powers of x are combined so that none overflows.
+    """
+    gamma, _ = _tail_parameters(gamma1, gamma2)
     a = -gamma / gamma2 - 1.0
-    p = a + 1.0
     c = x ** (-1.0 / gamma)
-    scale = x ** (1.0 / gamma)
-    w_c = float(np.interp(c, grid, values))
-    # the interpolated path is linear between nodes, so cutting the
-    # grid at c and ending it with the node (c, W(c)) integrates it
-    # exactly over [0, c]; at c = 1 the cut grid is the full grid
-    j = int(np.searchsorted(grid, c, side="left"))
-    full = _weigh(_segment_weights(grid, a)[0], values)
-    part_c = _weigh(_segment_weights(np.append(grid[:j], c), a)[0], np.append(values[:j], w_c))
-    integral = scale * c ** (-p) * part_c - full
+    if c == 0.0:
+        raise NumericError(f"x^(-1/gamma) underflows to 0 at x={x!r}")
+    j = int(np.searchsorted(grid, c))
+    t = (c - grid[j - 1]) / (grid[j] - grid[j - 1])
+    at_c = np.zeros(grid.size)      # W(c) = at_c @ values
+    at_c[j - 1:j + 1] = 1.0 - t, t
+    cut = _segment_weights(np.append(grid[:j], c), a)[0]
+    part = np.pad(cut[:j], (0, grid.size - j)) + cut[j] * at_c
     lead = x ** (-1.0 / gamma1)
-    return float((gamma / gamma1) * lead * (scale * w_c - values[-1])
-                 + gamma / (gamma1 + gamma2) * lead * integral)
+    weights = (gamma / (gamma1 + gamma2) * (part - lead * _segment_weights(grid, a)[0])
+               + gamma / gamma1 * x ** (1.0 / gamma2) * at_c)
+    weights[-1] -= gamma / gamma1 * lead
+    return weights
 
 
 def limiting_rv(path: WienerPath, gamma1: float, gamma2: float) -> float:

@@ -5,12 +5,19 @@ and prints the measured numbers, so `pytest -v tests/test_acceptance.py`
 gives a one-line verdict per guarantee.  Seeds are fixed; every run
 measures the same numbers.
 
-Gates c4 and c5 read one shared ensemble: c4's (0.6, 1.4) pair has
-rho = 0.7, the rho of c5, and both draw 100 000 paths at m = 2^14 from
-the streams (SEED, i) on the same warped grid.  Stacking L(W)'s row on
-the three Delta rows gives every row the bits of its own pass (see
-tests/test_limit_process.py), so both gates measure the numbers that
-mc_variance and delta_moments_mc would, from one pass instead of two.
+Gates c4 and c5 read one shared ensemble: 100 000 paths at m = 2^14
+from the streams (SEED, i).  A path's increments depend only on its
+stream, and only the rows depend on the grid, so c4's two L(W) rows,
+(0.6, 1.4) on the rho = 0.7 grid and (0.8, 7.2) on the rho = 0.9 grid,
+stack on c5's three Delta rows (rho = 0.7) with the same m.  Each row
+gets the bits of its own pass (see tests/test_limit_process.py), so
+both gates measure the numbers that mc_variance and delta_moments_mc
+would, from one pass instead of three.
+
+Gate c9 checks the paper's central theorem: the product-limit tail
+process D_n(x) of product_limit.tail_process is approximately the
+Gaussian process Gamma(x) of limit_process.gamma_process, whose exact
+variance on a grid is the sum of squares of its increment weights.
 """
 
 import math
@@ -32,18 +39,20 @@ from trunctail import (
     gamma_process,
     hill,
     limiting_rv,
-    mc_variance,
     pareto,
     simulate_wiener,
 )
-from trunctail import cli
+from trunctail import cli, fit_product_limit
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
-                                     _increment_weights, _limit_weights, _warped_grid)
+                                     _increment_weights, _limit_weights, _process_weights,
+                                     _tail_parameters, _warped_grid)
 from trunctail.montecarlo import StudyConfig, run_cell, run_study
-from trunctail.seeding import derive_rng, stable_key
-from trunctail.truncation import TruncationModel
+from trunctail.product_limit import tail_process
+from trunctail.seeding import _map, derive_rng, stable_key
+from trunctail.truncation import TruncationModel, gamma2_for_target_p
 
 SEED = 20260824
+C4_PAIRS = ((0.6, 1.4), (0.8, 7.2))
 
 
 def test_c1_burr_cell_bias_and_rmse_within_bands():
@@ -93,31 +102,30 @@ def test_c3_complete_data_estimator_collapses_to_hill_exactly():
 
 @pytest.fixture(scope="module")
 def shared_ensemble():
-    """c4's (0.6, 1.4) EnsembleStats, c5's DeltaMoments and the wall time
-    of the one ensemble pass that yields both."""
+    """c4's EnsembleStats by (gamma1, gamma2), c5's DeltaMoments and the
+    wall time of the one ensemble pass that yields all three."""
     t0 = time.perf_counter()
     m = 2 ** 14
-    grid = _warped_grid(0.7, m)
-    row = _increment_weights(grid, _limit_weights(grid, 0.6, 1.4))
-    values = _ensemble(np.vstack([row, _delta_rows(0.7, m)]), SEED, 100_000)
-    stats = _ensemble_stats(0.6, 1.4, row, values[0])
-    moments = _delta_moments(values[1:])
+    rows = []
+    for gamma1, gamma2 in C4_PAIRS:
+        grid = _warped_grid(_tail_parameters(gamma1, gamma2)[1], m)
+        rows.append(_increment_weights(grid, _limit_weights(grid, gamma1, gamma2)))
+    values = _ensemble(np.vstack(rows + [_delta_rows(0.7, m)]), SEED, 100_000)
+    stats = {pair: _ensemble_stats(*pair, row, v)
+             for pair, row, v in zip(C4_PAIRS, rows, values)}
+    moments = _delta_moments(values[len(rows):])
     return stats, moments, time.perf_counter() - t0
 
 
 def test_c4_wiener_ensemble_variance_matches_closed_form(shared_ensemble):
-    shared_stats, _, shared_elapsed = shared_ensemble
-    t0 = time.perf_counter()
-    stats = {(0.6, 1.4): shared_stats,
-             (0.8, 7.2): mc_variance(0.8, 7.2, 100_000, 2 ** 14, seed=SEED)}
+    stats, _, elapsed = shared_ensemble
     rels = {}
     for (g1, g2), st in stats.items():
         closed = asymptotic_variance(g1, g2)
         rels[(g1, g2)] = abs(st.variance - closed) / closed
-    elapsed = time.perf_counter() - t0 + shared_elapsed
     print(f"c4: rel err (0.6,1.4)={rels[(0.6, 1.4)]:.4%} "
           f"(0.8,7.2)={rels[(0.8, 7.2)]:.4%} elapsed={elapsed:.1f}s "
-          f"(shared pass {shared_elapsed:.1f}s) (<=180s)")
+          f"(one pass shared with c5) (<=180s)")
     assert rels[(0.6, 1.4)] <= 0.05
     assert rels[(0.8, 7.2)] <= 0.05
     assert elapsed <= 180.0
@@ -198,3 +206,46 @@ def test_c8_parallel_study_and_manifest_replay_are_byte_stable(tmp_path):
     print(f"c8: study CSV identical across workers ({len(serial)} bytes); "
           f"estimate replay identical ({len(original)} bytes)")
     assert replayed == original
+
+
+C9_XS = (1.5, 2.0, 4.0)
+
+
+def _tail_process_replicate(task):
+    p, seed = task
+    model = TruncationModel(burr(0.25, 0.6), burr(0.25, gamma2_for_target_p(0.6, p)))
+    fit = fit_product_limit(model.sample(10_000, seed))
+    return tail_process(fit, 100, 0.6, C9_XS)[:, 1].tolist()
+
+
+def test_c9_tail_process_matches_its_gaussian_limit():
+    # Burr(0.25) pairs with gamma1 = 0.6, N = 10 000, k = 100, 400
+    # replicates per p.  Over eight seed chains ("c9", "c9-1" to "c9-7")
+    # the worst |sd(D_n)/exact - 1| of the six (p, x) cells was
+    # 0.042-0.086 and the worst |mean D_n| 0.84-2.02 standard errors;
+    # one sd ratio has a sampling sd of about 1/sqrt(2*399) = 3.5%.
+    # Dropping Gamma's integral term moves the p = 0.7 ratios to 1.27-1.51,
+    # and the naive empirical survival in place of the product-limit fit
+    # moves mean D_n by 14-64 standard errors.  The exact sd is that of
+    # Gamma(x) on the warped m = 2048 grid; m = 8192 moves it by <= 3.1e-4.
+    t0 = time.perf_counter()
+    lines, ratios, z_scores = [], [], []
+    for p in (0.7, 0.9):
+        gamma2 = gamma2_for_target_p(0.6, p)
+        grid = _warped_grid(_tail_parameters(0.6, gamma2)[1], 2048)
+        tasks = [(p, stable_key("c9", p, r)) for r in range(400)]
+        d = np.array(_map(_tail_process_replicate, tasks, 2))
+        for x, column in zip(C9_XS, d.T):
+            row = _increment_weights(grid, _process_weights(grid, x, 0.6, gamma2))
+            exact = math.sqrt(math.fsum(row * row))
+            sd = float(np.std(column, ddof=1))
+            mean = math.fsum(column) / column.size
+            ratios.append(sd / exact)
+            z_scores.append(mean / (sd / math.sqrt(column.size)))
+            lines.append(f"p={p} x={x}: sd {sd:.3f} exact {exact:.3f} "
+                         f"mean {mean:+.3f} ({z_scores[-1]:+.2f} se)")
+    elapsed = time.perf_counter() - t0
+    print("c9: " + "; ".join(lines) + f"; sd ratios in [0.85, 1.15], "
+          f"|mean| <= 4 se, elapsed={elapsed:.1f}s")
+    assert all(abs(ratio - 1.0) <= 0.15 for ratio in ratios)
+    assert all(abs(z) <= 4.0 for z in z_scores)

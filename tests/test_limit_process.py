@@ -12,8 +12,8 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
                        transformed_grid)
 from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
-                                     _increment_weights, _limit_weights, _segment_weights,
-                                     _warped_grid)
+                                     _increment_weights, _limit_weights, _process_weights,
+                                     _segment_weights, _warped_grid)
 from trunctail.seeding import derive_rng
 
 
@@ -185,6 +185,15 @@ def test_gamma_process_domain_and_ordering():
         limiting_rv(path, 1.4, 0.6)
 
 
+def test_gamma_process_names_an_underflowing_cut_point():
+    # c = x^(-1/gamma) is subnormal at x = 1e130 and 0.0 at x = 1e150 for
+    # gamma = 0.42, where x^(1/gamma) alone would overflow
+    path = _random_path(28, m=8, q=3.0)
+    assert math.isfinite(gamma_process(1e130, path, 0.6, 1.4))
+    with pytest.raises(NumericError, match="underflows"):
+        gamma_process(1e150, path, 0.6, 1.4)
+
+
 def test_delta_moments_frozen_values():
     mom = delta_moments(0.7)
     assert mom.d11 == pytest.approx(2.0 / (0.7 * 0.4), rel=1e-14)
@@ -281,13 +290,21 @@ def test_ensemble_bits_do_not_depend_on_thread_count(monkeypatch):
 
 def test_one_stacked_pass_gives_mc_variance_and_delta_moments_mc_exactly():
     # L(W)'s row for (0.6, 1.4) lives on the rho = 0.7 grid of the Delta
-    # rows; the acceptance gates c4 and c5 read both statistics this way
+    # rows and the row for (0.8, 7.2) on the rho = 0.9 grid; a path's
+    # increments depend only on its stream, so rows from any grids with
+    # the same m stack.  The acceptance gates c4 and c5 read all three
+    # statistics this way
     m, n_paths, seed = 2 ** 10, 2000, 20260824
-    grid = _warped_grid(0.7, m)
-    row = _increment_weights(grid, _limit_weights(grid, 0.6, 1.4))
-    values = _ensemble(np.vstack([row, _delta_rows(0.7, m)]), seed, n_paths)
-    assert _ensemble_stats(0.6, 1.4, row, values[0]) == mc_variance(0.6, 1.4, n_paths, m, seed)
-    assert _delta_moments(values[1:]) == delta_moments_mc(0.7, n_paths, m, seed)
+    pairs = ((0.6, 1.4), (0.8, 7.2))
+    rows = []
+    for gamma1, gamma2 in pairs:
+        grid = _warped_grid(limit_process._tail_parameters(gamma1, gamma2)[1], m)
+        rows.append(_increment_weights(grid, _limit_weights(grid, gamma1, gamma2)))
+    values = _ensemble(np.vstack(rows + [_delta_rows(0.7, m)]), seed, n_paths)
+    for (gamma1, gamma2), row, v in zip(pairs, rows, values):
+        assert (_ensemble_stats(gamma1, gamma2, row, v)
+                == mc_variance(gamma1, gamma2, n_paths, m, seed))
+    assert _delta_moments(values[2:]) == delta_moments_mc(0.7, n_paths, m, seed)
 
 
 def test_ensemble_forks_one_child_per_extra_core_capped_at_paths(monkeypatch):
@@ -312,17 +329,22 @@ def test_ensemble_forks_one_child_per_extra_core_capped_at_paths(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("gamma1,gamma2,bias", [(0.6, 1.4, -1.79e-6), (0.8, 7.2, -1.5e-7)])
+@pytest.mark.parametrize("gamma1,gamma2,bias", [
+    (0.6, 1.4, -1.79e-6), (0.8, 7.2, -1.5e-7),
+    # bias None: the row of gamma_process at x = 2, which has no closed form here
+    pytest.param(0.6, 1.4, None, id="0.6-1.4-gamma_process-x2")])
 def test_grid_variance_is_the_discretized_limit_variance(gamma1, gamma2, bias):
-    closed = asymptotic_variance(gamma1, gamma2)
-    stats = mc_variance(gamma1, gamma2, 2, 2 ** 14, seed=1)
-    assert abs(stats.grid_variance / closed - 1.0) <= 1e-5
-    assert stats.grid_variance / closed - 1.0 == pytest.approx(bias, rel=0.05)
+    grid = _warped_grid(limit_process._tail_parameters(gamma1, gamma2)[1], 64)
+    if bias is None:
+        w = _process_weights(grid, 2.0, gamma1, gamma2)
+    else:
+        closed = asymptotic_variance(gamma1, gamma2)
+        stats = mc_variance(gamma1, gamma2, 2, 2 ** 14, seed=1)
+        assert abs(stats.grid_variance / closed - 1.0) <= 1e-5
+        assert stats.grid_variance / closed - 1.0 == pytest.approx(bias, rel=0.05)
+        w = _limit_weights(grid, gamma1, gamma2)
     # on a short grid, sum a_l^2 against the node-weight form
     # Var(w @ values) = w' Cov w with Cov(W(s), W(t)) = min(s, t)
-    _, rho = limit_process._tail_parameters(gamma1, gamma2)
-    grid = _warped_grid(rho, 64)
-    w = _limit_weights(grid, gamma1, gamma2)
     row = _increment_weights(grid, w)
     cov = np.minimum.outer(grid, grid)
     assert math.fsum(row * row) == pytest.approx(w @ cov @ w, rel=1e-10)

@@ -16,14 +16,13 @@ statistics of the central body are checked separately with robust
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import stats
 
 from trunctail import asymptotic_variance, burr, estimate_gamma2, gamma1_estimate
 from trunctail.montecarlo import _run_replicate
-from trunctail.seeding import stable_key
+from trunctail.seeding import _map, stable_key
 from trunctail.truncation import TruncationModel
 
 GAMMA1, GAMMA2 = 0.6, 1.4
@@ -107,18 +106,16 @@ def test_rmse_falls_with_sample_size_above_the_scan_floor():
     "rmse falls" check also held for the k=4 scan on 2 of the 8 chains.
     """
     rmse = {}
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        for big_n in (2000, 10_000):
-            tasks = [(0.7, GAMMA1, 0.25, big_n, "woodroofe", 0.3,
-                      stable_key("kf", 0.7, big_n, r)) for r in range(200)]
-            reps = [r for r in pool.map(_run_replicate, tasks, chunksize=25)
-                    if r is not None]
-            assert len(reps) == 200
-            rmse[big_n] = math.sqrt(math.fsum((g - GAMMA1) ** 2 for _, _, g in reps) / 200)
-            at_floor = sum(k == max(4, math.isqrt(n)) for n, k, _ in reps) / 200
-            low = sum(k <= 10 for _, k, _ in reps) / 200
-            print(f"N={big_n}: rmse {rmse[big_n]:.3f}, k* at the floor {at_floor:.1%}, "
-                  f"k* <= 10 {low:.1%}")
+    for big_n in (2000, 10_000):
+        tasks = [(0.7, GAMMA1, 0.25, big_n, "woodroofe", 0.3,
+                  stable_key("kf", 0.7, big_n, r)) for r in range(200)]
+        reps = [r for r in _map(_run_replicate, tasks, 2) if r is not None]
+        assert len(reps) == 200
+        rmse[big_n] = math.sqrt(math.fsum((g - GAMMA1) ** 2 for _, _, g in reps) / 200)
+        at_floor = sum(k == max(4, math.isqrt(n)) for n, k, _ in reps) / 200
+        low = sum(k <= 10 for _, k, _ in reps) / 200
+        print(f"N={big_n}: rmse {rmse[big_n]:.3f}, k* at the floor {at_floor:.1%}, "
+              f"k* <= 10 {low:.1%}")
     assert rmse[10_000] < rmse[2000]
     assert rmse[10_000] <= 0.15
 
