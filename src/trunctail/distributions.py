@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import derive_rng
+
 __all__ = [
     "HeavyTailModel",
     "burr",
@@ -110,19 +112,16 @@ class HeavyTailModel:
             out = (-np.log(ua)) ** (-g)
         return _scalar_like(out, u)
 
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """Draw count iid values by inverting uniforms from a seeded stream.
+    def sample(self, count: int, seed: int, *tags: int) -> np.ndarray:
+        """Draw count iid values by inverting uniforms from derive_rng(seed, *tags).
 
-        The uniforms live on the open interval (0, 1) so the quantile
-        is always defined.  Identical (count, seed) give identical
-        output.
+        The uniforms are multiples of 2^-53 on the open interval (0, 1),
+        so the quantile is always defined.  Identical (count, seed, tags)
+        give identical output.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        from .seeding import derive_rng
-
-        rng = derive_rng(seed)
-        u = rng.integers(1, 1 << 53, size=count) / float(1 << 53)
+        u = derive_rng(seed, *tags).integers(1, 1 << 53, size=count) / float(1 << 53)
         return self.quantile(u)
 
 

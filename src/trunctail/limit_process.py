@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import ModelViolationError, NumericError
 from .seeding import _map, derive_rng
+from .tail_index import asymptotic_variance
 
 __all__ = [
     "DeltaMoments",
@@ -391,8 +392,8 @@ class EnsembleStats:
     grid_variance: float
 
     def to_dict(self) -> dict:
-        from .tail_index import asymptotic_variance
-
+        """The limit-check report: these fields, grid_z, the closed form and the error to it."""
+        closed = asymptotic_variance(self.gamma1, self.gamma2)
         return {
             "gamma1": self.gamma1,
             "gamma2": self.gamma2,
@@ -403,7 +404,9 @@ class EnsembleStats:
             "std_error": self.std_error,
             "grid_variance": self.grid_variance,
             "grid_z": (self.variance - self.grid_variance) / self.std_error,
-            "sigma2_closed_form": asymptotic_variance(self.gamma1, self.gamma2),
+            "sigma2_closed_form": closed,
+            "mc_variance": self.variance,
+            "relative_error": abs(self.variance / closed - 1.0),
         }
 
 

@@ -24,7 +24,7 @@ from .distributions import burr
 from .errors import DegenerateTailError, EmptySampleError
 from .product_limit import LYNDEN_BELL, WOODROOFE
 from .seeding import _map, stable_key
-from .tail_index import gamma1_path, select_k_dispersion
+from .tail_index import gamma1_estimate
 from .truncation import TruncationModel, gamma2_for_target_p
 
 __all__ = [
@@ -182,20 +182,22 @@ class StudyReport:
         return {"rows": [row.to_dict() for row in self.rows]}
 
 
+def _model(p: float, gamma1: float, delta: float) -> TruncationModel:
+    """Burr(delta) target and truncation marginals with truncation probability p."""
+    return TruncationModel(burr(delta, gamma1), burr(delta, gamma2_for_target_p(gamma1, p)))
+
+
 def _run_replicate(args) -> tuple[int, int, float] | None:
-    """One replicate; returns (n, k_star, gamma1_hat) or None if degenerate."""
-    p, gamma1, delta, big_n, variant, theta, rep_seed = args
-    gamma2 = gamma2_for_target_p(gamma1, p)
-    model = TruncationModel(burr(delta, gamma1), burr(delta, gamma2))
+    """One (model, N, variant, theta, seed) task: (n, k_star, gamma1_hat), None if degenerate."""
+    model, big_n, variant, theta, rep_seed = args
     try:
         sample = model.sample(big_n, rep_seed)
     except EmptySampleError:
         return None
     if sample.n < _MIN_OBSERVED:
         return None
-    path = gamma1_path(sample, variant)
-    k_star = select_k_dispersion(path, theta)
-    return sample.n, k_star, float(path[k_star])
+    est = gamma1_estimate(sample, variant=variant, theta=theta)
+    return sample.n, est.k, est.gamma1_hat
 
 
 def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
@@ -220,18 +222,19 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
             at the cores this process may use (at 1 without os.fork);
             any value yields identical output.
     """
-    return _run_cells([(p, gamma1, delta, big_n, seed)], replicates, variant, theta, workers)[0]
+    return _run_cells([(p, gamma1, _model(p, gamma1, delta), big_n, seed)],
+                      replicates, variant, theta, workers)[0]
 
 
 def _run_cells(cells, replicates: int, variant: str, theta: float,
                workers: int) -> list[StudyRow]:
-    """Run every (p, gamma1, delta, N, seed) cell; the replicates of all
-    cells form one task list for seeding._map."""
+    """Run every (p, gamma1, model, N, seed) cell; the replicates of all
+    cells share their cell's model and form one task list for seeding._map."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     tasks = [
-        (p, gamma1, delta, big_n, variant, theta, stable_key("replicate", seed, r))
-        for p, gamma1, delta, big_n, seed in cells
+        (model, big_n, variant, theta, stable_key("replicate", seed, r))
+        for _, _, model, big_n, seed in cells
         for r in range(replicates)
     ]
     results = _map(_run_replicate, tasks, workers)
@@ -261,13 +264,13 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Run every cell of the study grid in configured order.
 
     Cell seeds are content keys of (master_seed, p, gamma1, delta, N),
-    so reordering cells permutes rows without changing any number.
+    so reordering cells permutes rows without changing any number.  Each
+    CellSpec's model is built once, here, before any fork.
     """
-    cells = [
-        (cell.p, cell.gamma1, cell.delta, big_n,
-         stable_key("cell", config.master_seed, cell.p, cell.gamma1, cell.delta, big_n))
-        for cell in config.cells
-        for big_n in cell.sizes
-    ]
+    cells = [(cell.p, cell.gamma1, model, big_n,
+              stable_key("cell", config.master_seed, cell.p, cell.gamma1, cell.delta, big_n))
+             for cell in config.cells
+             for model in [_model(cell.p, cell.gamma1, cell.delta)]
+             for big_n in cell.sizes]
     return StudyReport(tuple(_run_cells(cells, config.replicates, config.variant,
                                         config.theta, workers)))

@@ -34,7 +34,7 @@ gives scipy.special.ndtri's bits, so no estimate loads scipy.
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -94,22 +94,11 @@ class TailIndexEstimate:
     path: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        """JSON-ready report with a fixed key set."""
-        return {
-            "gamma1_hat": self.gamma1_hat,
-            "k": self.k,
-            "variant": self.variant,
-            "gamma2_hat": self.gamma2_hat,
-            "k2": self.k2,
-            "sigma2_hat": self.sigma2_hat,
-            "ci": None if self.ci is None else {
-                "level": self.ci.level,
-                "lower": self.ci.lower,
-                "upper": self.ci.upper,
-            },
-            "n": self.n,
-            "warnings": list(self.warnings),
-        }
+        """JSON-ready report: every field but path."""
+        report = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "path"}
+        report["ci"] = None if self.ci is None else asdict(self.ci)
+        report["warnings"] = list(self.warnings)
+        return report
 
 
 def _check_positive(values: np.ndarray):
@@ -146,20 +135,31 @@ def _weighted_hill_path(z_desc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return path
 
 
-def gamma1_estimate(sample: TruncatedSample, k: int, variant: str = WOODROOFE) -> TailIndexEstimate:
-    """Weighted-Hill estimate of the target tail index.
+def gamma1_estimate(sample: TruncatedSample, k: int | None = None,
+                    variant: str = WOODROOFE, theta: float = 0.3) -> TailIndexEstimate:
+    """Weighted-Hill estimate of the target tail index, read off gamma1_path.
+
+    The estimate keeps that path; one that is not a positive real carries a warning.
 
     Args:
         sample: observed truncated pairs.
         k: number of top order statistics, 1 <= k <= n-1 (k = 1 uses a
-            single log-ratio; the weight cancels).
+            single log-ratio; the weight cancels); if omitted,
+            select_k_dispersion(path, theta) picks it.
         variant: product-limit variant for the weights.
+        theta: dispersion exponent of the automatic threshold choice.
     """
     n = sample.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     path = gamma1_path(sample, variant)
-    return TailIndexEstimate(gamma1_hat=float(path[k]), k=int(k), variant=variant, n=n)
+    if k is None:
+        k = select_k_dispersion(path, theta)
+    elif not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    est = TailIndexEstimate(float(path[k]), int(k), variant, n, path=path)
+    if not np.isfinite(est.gamma1_hat) or est.gamma1_hat <= 0:
+        est.warnings.append(f"estimate {est.gamma1_hat!r} is not a positive real; "
+                            "tail may be degenerate at this threshold")
+    return est
 
 
 def hill_path(values) -> np.ndarray:
@@ -186,7 +186,7 @@ def asymptotic_variance(gamma1: float, gamma2: float) -> float:
     the value tends to gamma1^2, the Hill limit.
     """
     if not (np.isfinite(gamma1) and gamma1 > 0):
-        raise ValueError("gamma1 must be > 0")
+        raise ValueError(f"gamma1 must be > 0, got {gamma1!r}")
     if not (gamma2 > gamma1):
         raise ModelViolationError(
             f"variance undefined unless gamma1 < gamma2 "
@@ -266,8 +266,8 @@ def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
     """Plug-in normal interval gamma1_hat +/- z * sigma_hat / sqrt(k).
 
     Raises:
-        ValueError: if level is outside (0, 1), or so close to 1 that
-            its normal quantile z overflows.
+        ValueError: if level is outside (0, 1) or so close to 1 that z
+            overflows, or if gamma1_hat is not a positive real.
         ModelViolationError: if gamma2_hat <= gamma1_hat, which leaves
             the plug-in variance undefined.
     """
@@ -491,36 +491,21 @@ def estimate_gamma2(sample: TruncatedSample, theta: float = 0.3) -> tuple[float,
 def full_report(sample: TruncatedSample, k: int | None = None,
                 variant: str = WOODROOFE, theta: float = 0.3,
                 level: float | None = 0.95) -> TailIndexEstimate:
-    """Estimate gamma1 with automatic threshold choice and plug-ins.
+    """gamma1_estimate(sample, k, variant, theta) plus the gamma2 and interval plug-ins.
 
-    When k is omitted the dispersion criterion picks it; the estimate
-    keeps the whole path as `path`, so no caller need refit it.  A gamma2
-    plug-in and confidence interval are attached when the data allow;
-    a truncation tail estimated at or below gamma1_hat is recorded as
-    a model-violation warning and the interval is refused rather than
-    reporting an invalid variance.  An interval reaching down to 0 or
-    below is kept as computed and named in a warning.  Pass level=None
-    to skip the interval; any other level is checked before fitting.
+    The interval is refused, with a warning, rather than built on an
+    undefined variance: when gamma1_hat is not a positive real, or when
+    gamma2_hat <= gamma1_hat, a model violation.  One reaching down to 0
+    or below is kept as computed and named in a warning.  level=None
+    skips it; any other level is checked before fitting.
     """
     if level is not None:
         _interval_z(level)
-    n = sample.n
-    if n < 3:
-        raise DegenerateTailError(f"need at least 3 observed pairs, got {n}")
-    path = gamma1_path(sample, variant)
-    if k is None:
-        k = select_k_dispersion(path, theta)
-    elif not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    est = TailIndexEstimate(float(path[k]), int(k), variant, n, path=path)
-    if not np.isfinite(est.gamma1_hat) or est.gamma1_hat <= 0:
-        est.warnings.append(
-            f"estimate {est.gamma1_hat!r} is not a positive real; "
-            "tail may be degenerate at this threshold"
-        )
+    if sample.n < 3:
+        raise DegenerateTailError(f"need at least 3 observed pairs, got {sample.n}")
+    est = gamma1_estimate(sample, k, variant, theta)
     try:
-        g2, k2 = estimate_gamma2(sample, theta=theta)
-        est.gamma2_hat, est.k2 = g2, k2
+        est.gamma2_hat, est.k2 = estimate_gamma2(sample, theta=theta)
     except DegenerateTailError as exc:
         est.warnings.append(f"gamma2 plug-in unavailable: {exc}")
         return est
@@ -537,6 +522,6 @@ def full_report(sample: TruncatedSample, k: int | None = None,
                 f"interval lower bound {est.ci.lower:.6g} <= 0 lies outside the "
                 "domain of a tail index; it is reported unclipped"
             )
-    except ModelViolationError as exc:
+    except ValueError as exc:   # not the level, checked above; a ModelViolationError too
         est.warnings.append(f"confidence interval refused: {exc}")
     return est

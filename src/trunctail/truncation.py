@@ -82,8 +82,8 @@ class TruncatedSample:
 
     @classmethod
     def from_csv(cls, path) -> "TruncatedSample":
-        """Read pairs from a CSV file with header x,y."""
-        with open(path, "r", newline="") as fh:
+        """Read pairs from a CSV file with header x,y, after a UTF-8 byte-order mark if any."""
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             return cls.read_csv(fh)
 
     @classmethod
@@ -219,26 +219,19 @@ class TruncationModel:
     def sample(self, big_n: int, seed: int) -> TruncatedSample:
         """Generate big_n independent pairs and keep those with x <= y.
 
-        Streams for the two coordinates derive from (seed, purpose), so
-        the same seed always reproduces the same sample.
+        Each coordinate is drawn by its marginal's sample(big_n, seed,
+        purpose), so the same seed always reproduces the same sample.
 
         Raises:
             EmptySampleError: if every pair is rejected.
         """
         if big_n < 1:
             raise ValueError("big_n must be >= 1")
-        from .seeding import derive_rng
-
-        denom = float(1 << 53)
-        ux = derive_rng(seed, _TAG_TARGET).integers(1, 1 << 53, size=big_n) / denom
-        uy = derive_rng(seed, _TAG_TRUNCATOR).integers(1, 1 << 53, size=big_n) / denom
-        x = self.f_model.quantile(ux)
-        y = self.g_model.quantile(uy)
+        x = self.f_model.sample(big_n, seed, _TAG_TARGET)
+        y = self.g_model.sample(big_n, seed, _TAG_TRUNCATOR)
         keep = x <= y
         if not np.any(keep):
-            raise EmptySampleError(
-                f"all {big_n} generated pairs were rejected by truncation"
-            )
+            raise EmptySampleError(f"all {big_n} generated pairs were rejected by truncation")
         return TruncatedSample(x[keep], y[keep])
 
 

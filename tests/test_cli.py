@@ -147,6 +147,33 @@ def test_estimate_rejects_theta_out_of_range_with_fixed_k(tmp_path, capsys):
     assert "theta must lie in [0, 0.5]" in captured.err
 
 
+def test_estimate_writes_the_report_when_the_interval_is_refused(tmp_path, capsys):
+    # the 20 largest x tie at 50.0 and k* = 10 reads gamma1_hat = -4.4e-16
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.uniform(1.0, 45.0, 80), np.full(20, 50.0)])
+    data = tmp_path / "tied.csv"
+    TruncatedSample(x, x * rng.uniform(1.0, 5.0, 100)).to_csv(data)
+    out_json = tmp_path / "est.json"
+    assert main(["estimate", str(data), "--json", str(out_json)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out_json.read_text())
+    assert report["k"] == 10 and report["gamma1_hat"] <= 0.0
+    assert report["ci"] is None and report["sigma2_hat"] is None
+    assert report["warnings"][-1].startswith("confidence interval refused: gamma1 must be > 0")
+
+
+def test_estimate_reads_a_csv_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports open with one
+    plain = Path(_simulated_csv(tmp_path))
+    marked = tmp_path / "marked.csv"
+    marked.write_text(plain.read_text(), encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert main(["estimate", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["estimate", str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_estimate_full_run_with_files(tmp_path, capsys):
     data = _simulated_csv(tmp_path)
     out_json = str(tmp_path / "est.json")

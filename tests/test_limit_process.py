@@ -239,7 +239,10 @@ def test_mc_variance_reproducible_and_near_closed_form():
     d = a.to_dict()
     assert d["sigma2_closed_form"] == pytest.approx(closed, rel=1e-14)
     assert set(d) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
-                      "std_error", "grid_variance", "grid_z", "sigma2_closed_form"}
+                      "std_error", "grid_variance", "grid_z", "sigma2_closed_form",
+                      "mc_variance", "relative_error"}
+    assert d["mc_variance"] == a.variance
+    assert d["relative_error"] == abs(a.variance / d["sigma2_closed_form"] - 1.0)
 
 
 def test_mc_variance_second_pair():

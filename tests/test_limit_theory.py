@@ -20,7 +20,8 @@ import math
 import numpy as np
 from scipy import stats
 
-from trunctail import asymptotic_variance, burr, estimate_gamma2, gamma1_estimate
+from trunctail import (asymptotic_variance, burr, estimate_gamma2, gamma1_estimate,
+                       gamma2_for_target_p)
 from trunctail.montecarlo import _run_replicate
 from trunctail.seeding import _map, stable_key
 from trunctail.truncation import TruncationModel
@@ -28,6 +29,8 @@ from trunctail.truncation import TruncationModel
 GAMMA1, GAMMA2 = 0.6, 1.4
 SIGMA = math.sqrt(asymptotic_variance(GAMMA1, GAMMA2))
 _MODEL = TruncationModel(burr(0.25, GAMMA1), burr(0.25, GAMMA2))
+# the study's model of the p=0.7 cell: its gamma2 need not round to GAMMA2
+_CELL_MODEL = TruncationModel(burr(0.25, GAMMA1), burr(0.25, gamma2_for_target_p(GAMMA1, 0.7)))
 
 
 def _standardized_errors(chain: str, reps: int, big_n: int, k: int) -> np.ndarray:
@@ -84,8 +87,7 @@ def test_error_magnitude_shrinks_with_sample_size():
         errs = []
         for r in range(200):
             rep = _run_replicate(
-                (0.7, GAMMA1, 0.25, big_n, "woodroofe", 0.3,
-                 stable_key("replicate", cell_seed, r)))
+                (_CELL_MODEL, big_n, "woodroofe", 0.3, stable_key("replicate", cell_seed, r)))
             if rep is not None:
                 errs.append(abs(rep[2] - GAMMA1))
         assert len(errs) >= 190
@@ -107,8 +109,8 @@ def test_rmse_falls_with_sample_size_above_the_scan_floor():
     """
     rmse = {}
     for big_n in (2000, 10_000):
-        tasks = [(0.7, GAMMA1, 0.25, big_n, "woodroofe", 0.3,
-                  stable_key("kf", 0.7, big_n, r)) for r in range(200)]
+        tasks = [(_CELL_MODEL, big_n, "woodroofe", 0.3, stable_key("kf", 0.7, big_n, r))
+                 for r in range(200)]
         reps = [r for r in _map(_run_replicate, tasks, 2) if r is not None]
         assert len(reps) == 200
         rmse[big_n] = math.sqrt(math.fsum((g - GAMMA1) ** 2 for _, _, g in reps) / 200)

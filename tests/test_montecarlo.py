@@ -3,6 +3,7 @@ import json
 import math
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -95,12 +96,13 @@ def test_single_replicate_matches_manual_computation():
 
 def test_run_replicate_top_level_contract():
     rep_seed = stable_key("replicate", 13, 0)
-    out = _run_replicate((0.7, 0.6, 0.25, 400, "woodroofe", 0.3, rep_seed))
+    model = TruncationModel(burr(0.25, 0.6), burr(0.25, gamma2_for_target_p(0.6, 0.7)))
+    out = _run_replicate((model, 400, "woodroofe", 0.3, rep_seed))
     assert out is not None
     n, k_star, gamma1_hat = out
     assert n > 0 and k_star >= 4 and np.isfinite(gamma1_hat)
     # tiny big_n cannot reach the 10-pair floor
-    assert _run_replicate((0.7, 0.6, 0.25, 5, "woodroofe", 0.3, rep_seed)) is None
+    assert _run_replicate((model, 5, "woodroofe", 0.3, rep_seed)) is None
 
 
 def test_run_cell_worker_count_is_immaterial():
@@ -254,6 +256,23 @@ def test_failing_replicate_raises_as_in_a_serial_run(monkeypatch, forked_pids, f
     for workers in (1, 2, 3):
         with pytest.raises(NumericError, match=expected):
             run_study(config, workers=workers)
+    assert forked_pids == []
+
+
+def test_out_of_domain_study_warns_once(monkeypatch, capfd, forked_pids):
+    # p = 0.3 puts gamma2 below gamma1.  The CellSpec's model is built once,
+    # in the caller before the fork: neither its second size nor the child
+    # warns again, even under "always".  Every process writes its warnings
+    # to fd 2, which capfd reads.
+    monkeypatch.setattr(seeding, "_worker_count", lambda: 2)
+    monkeypatch.setattr(warnings, "showwarning",
+                        lambda message, *_: os.write(2, f"{message}\n".encode()))
+    config = StudyConfig.from_dict(_config(cells=[{"p": 0.3, "gamma1": 0.6, "N": [300, 600]}],
+                                           replicates=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        run_study(config, workers=2)
+    assert capfd.readouterr().err.count("limit theory does not apply") == 1
     assert forked_pids == []
 
 

@@ -318,6 +318,36 @@ def test_full_report_refuses_interval_on_model_violation():
     assert any("refused" in w for w in est.warnings)
 
 
+def test_gamma1_estimate_picks_k_as_full_report_does():
+    sample = _truncated_sample(31)
+    est = gamma1_estimate(sample)
+    report = full_report(sample)
+    assert est.k == select_k_dispersion(gamma1_path(sample), 0.3) == report.k
+    assert est.gamma1_hat == report.gamma1_hat
+    assert est.path.tobytes() == report.path.tobytes()
+    assert est.gamma2_hat is None and est.ci is None and est.warnings == []
+
+
+def _tied_top_sample():
+    """100 pairs whose 20 largest x are all 50.0; the rest U(1, 45), y = x U(1, 5)."""
+    rng = np.random.default_rng(1)
+    x = np.concatenate([rng.uniform(1.0, 45.0, 80), np.full(20, 50.0)])
+    return TruncatedSample(x, x * rng.uniform(1.0, 5.0, 100))
+
+
+def test_full_report_refuses_interval_at_a_non_positive_estimate():
+    # inside the tied top the path reads a rounding residue of 0, where the
+    # plug-in variance is undefined: the interval is refused, not raised
+    est = full_report(_tied_top_sample())
+    assert est.k == 10 and -1e-15 < est.gamma1_hat <= 0.0
+    assert est.gamma2_hat > 0.0 and est.ci is None and est.sigma2_hat is None
+    assert est.warnings == [
+        f"estimate {est.gamma1_hat!r} is not a positive real; "
+        "tail may be degenerate at this threshold",
+        f"confidence interval refused: gamma1 must be > 0, got {est.gamma1_hat!r}",
+    ]
+
+
 def test_full_report_small_samples():
     with pytest.raises(DegenerateTailError):
         full_report(TruncatedSample(np.array([1.0, 2.0]), np.array([3.0, 3.0])))
