@@ -18,12 +18,13 @@ Exit codes, mapped from exceptions in `main` alone: 0 ok, 2 bad input
 
 import argparse
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
 import sys
 from datetime import datetime, timezone
-from importlib.metadata import PackageNotFoundError, version
 
 from . import __version__
 from .errors import (DegenerateTailError, EmptySampleError,
@@ -41,14 +42,6 @@ EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
-
-
-def _version() -> str:
-    """Installed distribution version, else the package's own."""
-    try:
-        return version("artifact")
-    except PackageNotFoundError:
-        return __version__
 
 
 def _dump_json(obj) -> str:
@@ -69,7 +62,7 @@ def _write_manifest(path: str, command: str, parameters: dict, seeds: dict,
         "command": command,
         "parameters": parameters,
         "seeds": seeds,
-        "library_version": _version(),
+        "library_version": __version__,
         "input_digests": input_digests,
         "outputs": outputs,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -81,9 +74,12 @@ def _write_manifest(path: str, command: str, parameters: dict, seeds: dict,
 def cmd_estimate(params: dict) -> int:
     """Estimate from a CSV file; params are the resolved CLI arguments."""
     input_path = params["input"]
+    # one read: the manifest's digest is that of the bytes parsed
+    with open(input_path, "rb") as fh:
+        data = fh.read()
     try:
-        sample = TruncatedSample.from_csv(input_path)
-    except ValueError as exc:
+        sample = TruncatedSample.read_csv(io.StringIO(data.decode("utf-8-sig"), newline=""))
+    except ValueError as exc:   # a UnicodeDecodeError too
         raise ValueError(f"{input_path}: {exc}") from None
     level = None if params["no_ci"] else params["level"]
     est = full_report(sample, k=params["k"], variant=params["variant"],
@@ -107,7 +103,7 @@ def cmd_estimate(params: dict) -> int:
     if outputs:
         manifest_path = params["manifest"] or outputs[0] + ".manifest.json"
         _write_manifest(manifest_path, "estimate", params, {},
-                        {input_path: _sha256(input_path)}, outputs)
+                        {input_path: hashlib.sha256(data).hexdigest()}, outputs)
     if est.gamma2_hat is not None and est.gamma2_hat <= est.gamma1_hat:
         print(f"error: model violation: gamma2_hat={est.gamma2_hat:.6g} <= "
               f"gamma1_hat={est.gamma1_hat:.6g}; no valid variance",
@@ -221,12 +217,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: main and replay share it, and parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="trunctail",
         description="Tail-index estimation under random right truncation.",
     )
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="estimate gamma1 from a CSV of x,y pairs")

@@ -100,7 +100,7 @@ class HeavyTailModel:
     def quantile(self, u):
         """Inverse df: the unique x with df(x) = u, for u in (0, 1)."""
         ua = np.asarray(u, dtype=float)
-        if np.any(~np.isfinite(ua)) or np.any(ua <= 0.0) or np.any(ua >= 1.0):
+        if not ((ua > 0.0) & (ua < 1.0)).all():   # NaN fails both comparisons
             raise ValueError("u must lie strictly inside (0, 1)")
         g = self.tail_index
         if self.family == "burr":

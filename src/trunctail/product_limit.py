@@ -87,16 +87,16 @@ def fit_product_limit(sample: TruncatedSample, variant: str = WOODROOFE) -> Prod
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     n = sample.n
-    order = np.argsort(sample.x, kind="stable")
+    order = sample.x.argsort(kind="stable")
     xs = sample.x[order]
     ys = np.sort(sample.y)
     # n*C_n at each atom: #{x_i <= a} - #{y_i < a}; always >= 1 (own pair)
-    counts = (np.searchsorted(xs, xs, side="right")
-              - np.searchsorted(ys, xs, side="left")).astype(float)
+    counts = (xs.searchsorted(xs, side="right")
+              - ys.searchsorted(xs, side="left")).astype(float)
     hazard_terms = 1.0 / counts
     if variant == WOODROOFE:
         suffix_hazard = np.zeros(n + 1)
-        suffix_hazard[:n] = np.cumsum(hazard_terms[::-1])[::-1]
+        suffix_hazard[:n] = hazard_terms[::-1].cumsum()[::-1]
         suffix_df = np.exp(-suffix_hazard)
     else:
         suffix_df = np.ones(n + 1)

@@ -21,12 +21,14 @@ the estimator path from its running median.  Two guards are added to
 it, each argued in select_k_dispersion: a prefix needs three summands,
 and the default scan starts at k = max(4, floor(sqrt(n))).  That scan
 range lives in select_k_dispersion's defaults alone, which the gamma1
-and the gamma2 selections both use.  One running-median pass finds
-each prefix median once and scores every k in O(n log n): its heaps
-hold integer ranks alone, and the sums behind each score are
-vectorised.  Only the thresholds whose score could reach the minimum
-within the pass's rounding error are re-scored from the definition,
-with the pass's medians, so the choice is exactly a direct scan's.
+and the gamma2 selections both use; each starts higher only at a
+wider tie at the maximum of its values (_select_k_above_tie).  One
+running-median pass finds each prefix median once and scores every k
+in O(n log n): its heaps hold integer ranks alone, and the sums behind
+each score are vectorised.  Only the thresholds whose score could
+reach the minimum within the pass's rounding error are re-scored from
+the definition, with the pass's medians, so the choice is exactly a
+direct scan's.
 
 The interval's normal quantile is _ndtri, a port of Cephes ndtri that
 gives scipy.special.ndtri's bits, so no estimate loads scipy.
@@ -103,7 +105,7 @@ class TailIndexEstimate:
 
 def _check_positive(values: np.ndarray):
     bad = values <= 0.0
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"value <= 0 at data row(s) {_data_rows(bad)}; cannot take logs")
 
 
@@ -131,7 +133,7 @@ def _weighted_hill_path(z_desc: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     logz = np.log(z_desc)
     path = np.full(z_desc.size, np.nan)
-    path[1:] = np.cumsum(w * logz)[:-1] / np.cumsum(w)[:-1] - logz[1:]
+    path[1:] = (w * logz).cumsum()[:-1] / w.cumsum()[:-1] - logz[1:]
     return path
 
 
@@ -145,14 +147,15 @@ def gamma1_estimate(sample: TruncatedSample, k: int | None = None,
         sample: observed truncated pairs.
         k: number of top order statistics, 1 <= k <= n-1 (k = 1 uses a
             single log-ratio; the weight cancels); if omitted,
-            select_k_dispersion(path, theta) picks it.
+            select_k_dispersion(path, theta) picks it, its scan started
+            no lower than a tie at max(x) (see _select_k_above_tie).
         variant: product-limit variant for the weights.
         theta: dispersion exponent of the automatic threshold choice.
     """
     n = sample.n
     path = gamma1_path(sample, variant)
     if k is None:
-        k = select_k_dispersion(path, theta)
+        k = _select_k_above_tie(path, sample.x, theta)
     elif not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     est = TailIndexEstimate(float(path[k]), int(k), variant, n, path=path)
@@ -312,7 +315,7 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
         path: estimator values indexed by threshold, as returned by
             gamma1_path or hill_path.
         theta: dispersion exponent in [0, 0.5].
-        k_min, k_max: scan range, 2 <= k_min < k_max < n.  The defaults,
+        k_min, k_max: scan range, 2 <= k_min <= k_max < n.  The defaults,
             [max(4, isqrt(n)), default_k_max(n)], are the package's one
             scan range, for gamma1 and gamma2 alike; an n <= 5 leaves it
             empty and raises DegenerateTailError.
@@ -324,19 +327,40 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
             raise DegenerateTailError(f"sample too small for threshold selection (n={n})")
     if not (0.0 <= theta <= 0.5):
         raise ValueError("theta must lie in [0, 0.5]")
-    if not (k_min is None or 2 <= k_min < k_max) or k_max >= n:
-        raise ValueError(f"need 2 <= k_min < k_max < n, got ({k_min}, {k_max}, {n})")
+    if not (k_min is None or 2 <= k_min <= k_max) or k_max >= n:
+        raise ValueError(f"need 2 <= k_min <= k_max < n, got ({k_min}, {k_max}, {n})")
     start = max(4, math.isqrt(n) if k_min is None else k_min)
     if start > k_max:
         raise DegenerateTailError(
             f"no informative thresholds to scan: k_max={k_max} lies below {start}")
     seg = np.ascontiguousarray(path[2:k_max + 1])
-    if np.any(~np.isfinite(seg)):
+    if not np.isfinite(seg).all():
         raise DegenerateTailError("estimator path is not finite over the scan range")
     weights = np.arange(2, k_max + 1, dtype=float) ** theta
     fast, bound, med = _running_scores(seg, weights)
     return _rescore_candidates(seg, weights, fast[start - 2:], bound[start - 2:],
                                med[start - 2:], start)
+
+
+def _select_k_above_tie(path: np.ndarray, values: np.ndarray, theta: float) -> int:
+    """select_k_dispersion(path, theta), its scan started no lower than a tie at the top.
+
+    path is the estimator path of values.  With t of them equal to
+    max(values), path[k] for k < t compares tied values: it reads 0 up
+    to rounding, and that flat run scores as the least dispersed.  So
+    the scan starts at max(4, isqrt(n), t); without a tie that wide it
+    is the default scan.
+    """
+    n = values.size
+    top = float(values.max())
+    tie = int(np.count_nonzero(values == top))
+    if tie <= max(4, math.isqrt(n)):
+        return select_k_dispersion(path, theta)
+    k_max = default_k_max(n)
+    if tie > k_max:
+        raise DegenerateTailError(f"the {tie} largest of {n} values tie at {top!r}: "
+                                  f"no threshold above the tie to scan (k_max={k_max})")
+    return select_k_dispersion(path, theta, k_min=tie)
 
 
 _U = 2.0 ** -53        # unit roundoff of float64
@@ -386,7 +410,7 @@ def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, .
     also covers the rounding of the bound and of fast +/- bound.
     """
     size = seg.size
-    order = np.argsort(seg, kind="stable")
+    order = seg.argsort(kind="stable")
     rank = np.empty(size, dtype=np.intp)
     rank[order] = np.arange(size)
     ranks, negated = rank.tolist(), (-rank).tolist()
@@ -430,18 +454,18 @@ def _running_scores(seg: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, .
     d_w = w_ranked[came_in]
     d_s[1::2] -= wx_ranked[went_out]
     d_w[1::2] -= w_ranked[went_out]
-    s_lo = np.cumsum(d_s)
-    w_lo = np.cumsum(d_w)
-    s_all = np.cumsum(wx)
-    w_all = np.cumsum(weights)
+    s_lo = d_s.cumsum()
+    w_lo = d_w.cumsum()
+    s_all = wx.cumsum()
+    w_all = weights.cumsum()
     count = np.arange(1, size + 1, dtype=float)           # summands in the prefix
     k = count + 1.0
     fast = (s_all - 2.0 * s_lo - med * (w_all - 2.0 * w_lo)) / k
 
     abs_med = np.abs(med)
-    a_wx = np.cumsum(np.abs(wx))
+    a_wx = np.abs(wx).cumsum()
     terms = np.abs(s_all) + 2.0 * np.abs(s_lo) + abs_med * (w_all + 2.0 * w_lo)
-    fast_err = (6.0 * _U * (np.cumsum(a_wx) + abs_med * np.cumsum(w_all))
+    fast_err = (6.0 * _U * (a_wx.cumsum() + abs_med * w_all.cumsum())
                 + 2.0 * _U * a_wx + 8.0 * _U * terms) / k
     gamma = (count + 2.0) * _U / (1.0 - (count + 2.0) * _U)
     bound = (fast_err + gamma * (np.abs(fast) + fast_err)
@@ -463,8 +487,8 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
     later k can beat it, and a constant path, whose every k stays a
     candidate, costs one re-score.
     """
-    ceiling = np.min(fast + bound)
-    candidates = np.flatnonzero(~(fast - bound > ceiling))
+    ceiling = (fast + bound).min()
+    candidates = (~(fast - bound > ceiling)).nonzero()[0]
     best_k, best_score = None, np.inf
     for j in candidates.tolist():
         k = start + j
@@ -480,11 +504,12 @@ def _rescore_candidates(seg: np.ndarray, weights: np.ndarray, fast: np.ndarray,
 def estimate_gamma2(sample: TruncatedSample, theta: float = 0.3) -> tuple[float, int]:
     """(gamma2_hat, k2): Hill estimate of the truncation tail index from the y's.
 
-    k2 is chosen by select_k_dispersion over its default scan range;
+    k2 is chosen by select_k_dispersion over its default scan range,
+    started no lower than a tie at max(y) (see _select_k_above_tie);
     hill(sample.y, k) gives the estimate at a fixed k.
     """
     path = hill_path(sample.y)
-    k2 = select_k_dispersion(path, theta)
+    k2 = _select_k_above_tie(path, sample.y, theta)
     return float(path[k2]), int(k2)
 
 

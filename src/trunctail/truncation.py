@@ -59,10 +59,10 @@ class TruncatedSample:
         if self.x.size == 0:
             raise EmptySampleError("sample contains no pairs")
         bad = ~(np.isfinite(self.x) & np.isfinite(self.y))
-        if np.any(bad):
+        if bad.any():
             raise ValueError(f"non-finite value at data row(s) {_data_rows(bad)}")
         bad = self.x > self.y
-        if np.any(bad):
+        if bad.any():
             raise ValueError(f"x > y at data row(s) {_data_rows(bad)}")
 
     @property
@@ -230,7 +230,7 @@ class TruncationModel:
         x = self.f_model.sample(big_n, seed, _TAG_TARGET)
         y = self.g_model.sample(big_n, seed, _TAG_TRUNCATOR)
         keep = x <= y
-        if not np.any(keep):
+        if not keep.any():
             raise EmptySampleError(f"all {big_n} generated pairs were rejected by truncation")
         return TruncatedSample(x[keep], y[keep])
 

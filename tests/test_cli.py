@@ -1,10 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
-from importlib.metadata import PackageNotFoundError
 from pathlib import Path
 
 import numpy as np
@@ -147,19 +147,34 @@ def test_estimate_rejects_theta_out_of_range_with_fixed_k(tmp_path, capsys):
     assert "theta must lie in [0, 0.5]" in captured.err
 
 
-def test_estimate_writes_the_report_when_the_interval_is_refused(tmp_path, capsys):
-    # the 20 largest x tie at 50.0 and k* = 10 reads gamma1_hat = -4.4e-16
+def _tied_top_csv(tmp_path):
+    # the 20 largest x tie at 50.0: the gamma1 path reads 0 up to rounding for k < 20
     rng = np.random.default_rng(1)
     x = np.concatenate([rng.uniform(1.0, 45.0, 80), np.full(20, 50.0)])
     data = tmp_path / "tied.csv"
     TruncatedSample(x, x * rng.uniform(1.0, 5.0, 100)).to_csv(data)
+    return str(data)
+
+
+def test_estimate_writes_the_report_when_the_interval_is_refused(tmp_path, capsys):
+    # k = 10 lies inside the tie and reads gamma1_hat = -4.4e-16
     out_json = tmp_path / "est.json"
-    assert main(["estimate", str(data), "--json", str(out_json)]) == 0
+    assert main(["estimate", _tied_top_csv(tmp_path), "--k", "10",
+                 "--json", str(out_json)]) == 0
     assert capsys.readouterr().err == ""
     report = json.loads(out_json.read_text())
     assert report["k"] == 10 and report["gamma1_hat"] <= 0.0
     assert report["ci"] is None and report["sigma2_hat"] is None
     assert report["warnings"][-1].startswith("confidence interval refused: gamma1 must be > 0")
+
+
+def test_estimate_scans_thresholds_above_a_tied_maximum(tmp_path, capsys):
+    out_json = tmp_path / "est.json"
+    assert main(["estimate", _tied_top_csv(tmp_path), "--json", str(out_json)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out_json.read_text())
+    assert report["k"] == 20 and report["gamma1_hat"] == pytest.approx(0.1244, abs=1e-4)
+    assert report["gamma2_hat"] > report["gamma1_hat"] and report["ci"] is not None
 
 
 def test_estimate_reads_a_csv_with_a_utf8_byte_order_mark(tmp_path, capsys):
@@ -228,12 +243,7 @@ def test_estimate_replay_reproduces_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_manifest_version_falls_back_to_package(tmp_path, capsys, monkeypatch):
-    # run from a source tree: no installed distribution to ask
-    def not_installed(name):
-        raise PackageNotFoundError(name)
-
-    monkeypatch.setattr(cli, "version", not_installed)
+def test_manifest_and_version_flag_report_the_package_version(tmp_path, capsys):
     out_json = str(tmp_path / "est.json")
     assert main(["estimate", _simulated_csv(tmp_path), "--json", out_json]) == 0
     manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
@@ -241,6 +251,53 @@ def test_manifest_version_falls_back_to_package(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert capsys.readouterr().out.strip() == trunctail.__version__
+
+
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(trunctail.__file__).resolve().parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("trunctail is not imported from a source checkout")
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == trunctail.__version__
+
+
+def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, capsys, monkeypatch):
+    data = Path(_simulated_csv(tmp_path))
+    parsed = data.read_bytes()
+    real_read_csv = TruncatedSample.read_csv.__func__
+
+    def read_then_append(cls, fh):
+        sample = real_read_csv(cls, fh)
+        with open(data, "a") as out:     # the file changes after it was parsed
+            out.write("5,6\n")
+        return sample
+
+    monkeypatch.setattr(TruncatedSample, "read_csv", classmethod(read_then_append))
+    out_json = tmp_path / "est.json"
+    assert main(["estimate", str(data), "--json", str(out_json)]) == 0
+    manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
+    assert manifest["input_digests"] == {str(data): hashlib.sha256(parsed).hexdigest()}
+    assert data.read_bytes() != parsed
+    capsys.readouterr()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    data = _simulated_csv(tmp_path)
+    assert main(["estimate", data, "--json", str(tmp_path / "est.json")]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["estimate", data, "--k", "20", "--no-ci"]) == 0
+    assert main(["replay", str(tmp_path / "est.json.manifest.json"),
+                 "--outdir", str(tmp_path / "again")]) == 0
+    assert built == []
+    capsys.readouterr()
 
 
 def test_replay_detects_changed_input(tmp_path, capsys):
@@ -579,11 +636,12 @@ _COLD_START_SCRIPT = """
 import contextlib, io, json, sys
 
 def watched_modules():
-    # scipy, plus what np.median (numpy.ma) and a thread or process pool
-    # (multiprocessing, concurrent.futures) load
+    # scipy, plus what np.median (numpy.ma), a thread or process pool
+    # (multiprocessing, concurrent.futures) and a distribution's metadata
+    # (importlib.metadata) load
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
                   or m in ("numpy.ma", "multiprocessing", "concurrent.futures",
-                           "concurrent.futures.process"))
+                           "concurrent.futures.process", "importlib.metadata"))
 
 csv_path, study_prefix, out_path = sys.argv[1:]
 seen = {}
@@ -619,7 +677,8 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
                     str(tmp_path / "study"), str(out_path)],
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
-    # neither scipy, numpy.ma nor a thread or process pool; parallel runs fork children
+    # neither scipy, numpy.ma, a thread or process pool nor importlib.metadata;
+    # parallel runs fork children
     for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate",
                  "simulate --threads 2"):
         assert seen[step] == [], step

@@ -94,9 +94,10 @@ def test_constructor_validation():
         burr(0.0, 0.6)
     with pytest.raises(ValueError):
         HeavyTailModel("pareto", 0.5, delta=0.25)
-    with pytest.raises(ValueError):
-        pareto(1.0).quantile(1.0)
-    with pytest.raises(ValueError):
-        pareto(1.0).quantile(0.0)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
+        for u in (bad, np.array([0.5, bad]), np.array([[bad], [0.5]])):
+            for model in (burr(0.25, 0.6), pareto(1.0), frechet(0.8)):
+                with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                    model.quantile(u)
     with pytest.raises(ValueError):
         pareto(1.0).survival(-1.0)

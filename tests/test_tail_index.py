@@ -338,7 +338,7 @@ def _tied_top_sample():
 def test_full_report_refuses_interval_at_a_non_positive_estimate():
     # inside the tied top the path reads a rounding residue of 0, where the
     # plug-in variance is undefined: the interval is refused, not raised
-    est = full_report(_tied_top_sample())
+    est = full_report(_tied_top_sample(), k=10)
     assert est.k == 10 and -1e-15 < est.gamma1_hat <= 0.0
     assert est.gamma2_hat > 0.0 and est.ci is None and est.sigma2_hat is None
     assert est.warnings == [
@@ -346,6 +346,25 @@ def test_full_report_refuses_interval_at_a_non_positive_estimate():
         "tail may be degenerate at this threshold",
         f"confidence interval refused: gamma1 must be > 0, got {est.gamma1_hat!r}",
     ]
+
+
+def test_selection_scans_from_a_tied_maximum():
+    # the default start, max(4, isqrt(100)) = 10, lies inside the tie of 20
+    sample = _tied_top_sample()
+    est = full_report(sample)
+    assert est.k == 20 and est.gamma1_hat == pytest.approx(0.1244, abs=1e-4)
+    assert est.gamma2_hat > est.gamma1_hat and est.ci is not None
+    assert est.k == select_k_dispersion(gamma1_path(sample), 0.3, k_min=20)
+    # the same rule for gamma2 on the y's
+    flipped = TruncatedSample(sample.x / 1e3, sample.x)
+    k2 = estimate_gamma2(flipped)[1]
+    assert k2 == select_k_dispersion(hill_path(flipped.y), 0.3, k_min=20)
+    # k_max = 94 at n = 100: a tie of 94 leaves one threshold, one of 95 none
+    edge = TruncatedSample(np.r_[np.arange(1.0, 7.0), np.full(94, 50.0)], np.full(100, 60.0))
+    assert gamma1_estimate(edge).k == 94
+    wide = TruncatedSample(np.r_[np.arange(1.0, 6.0), np.full(95, 50.0)], np.full(100, 60.0))
+    with pytest.raises(DegenerateTailError, match="95 largest of 100 values tie at 50.0"):
+        gamma1_estimate(wide)
 
 
 def test_full_report_small_samples():
