@@ -20,7 +20,7 @@ from .product_limit import *  # noqa: F401,F403
 from .tail_index import *  # noqa: F401,F403
 from .truncation import *  # noqa: F401,F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for module in (distributions, errors, truncation, product_limit,
                                tail_index, limit_process, montecarlo)

@@ -9,7 +9,8 @@ Subcommands:
 Every run that writes an output file also writes a manifest recording
 the command, the fully resolved parameters, seeds, library version and
 input digests; `replay` reproduces the outputs bit-for-bit (only the
-manifest timestamp differs).
+manifest timestamp differs) under the library version it records; under
+any other it warns on stderr, then runs.
 
 Exit codes, mapped from exceptions in `main` alone: 0 ok, 2 bad input
 (including unreadable input and unwritable output), 3 model violation,
@@ -197,6 +198,10 @@ def cmd_replay(params: dict) -> int:
     for path, digest in digests.items():
         if _sha256(path) != digest:
             raise ValueError(f"input {path} changed since the manifest was written")
+    version = manifest.get("library_version", __version__)
+    if version != __version__:
+        print(f"warning: the manifest was written by trunctail {version!r}; replaying "
+              f"with {__version__!r}, whose outputs may differ", file=sys.stderr)
     recorded = _RecordedParameters(recorded)
     outdir = params["outdir"]
     if outdir is not None:
@@ -230,10 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate gamma1 from a CSV of x,y pairs")
     est.add_argument("input", help="CSV file with header x,y")
     est.add_argument("--k", type=int, default=None,
-                     help="threshold; chosen by the dispersion criterion if omitted")
+                     help="threshold; chosen by the window-variance rule if omitted")
     est.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=WOODROOFE)
     est.add_argument("--theta", type=float, default=0.3,
-                     help="dispersion exponent for automatic k (default 0.3)")
+                     help="window weight exponent for automatic k (default 0.3)")
     est.add_argument("--level", type=float, default=0.95,
                      help="confidence level (default 0.95)")
     est.add_argument("--no-ci", action="store_true", help="skip the confidence interval")
@@ -257,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=None,
                      help=f"product-limit variant (default {WOODROOFE})")
     sim.add_argument("--theta", type=float, default=None,
-                     help="dispersion exponent for automatic k (default 0.3)")
+                     help="window weight exponent for automatic k (default 0.3)")
     sim.add_argument("--seed", type=int, default=None,
                      help="master seed (required unless --config supplies one)")
     sim.add_argument("--threads", type=int, default=1,

@@ -215,7 +215,7 @@ def run_cell(p: float, gamma1: float, delta: float, big_n: int, replicates: int,
         big_n: pairs generated per replicate before truncation.
         replicates: number of replicates.
         variant: product-limit variant for estimation.
-        theta: dispersion exponent for threshold selection.
+        theta: window weight exponent for threshold selection.
         seed: cell-level seed; replicate r uses the content key
             (seed, r).
         workers: processes to run on, the calling one included, capped

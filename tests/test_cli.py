@@ -169,12 +169,19 @@ def test_estimate_writes_the_report_when_the_interval_is_refused(tmp_path, capsy
 
 
 def test_estimate_scans_thresholds_above_a_tied_maximum(tmp_path, capsys):
+    data = _tied_top_csv(tmp_path)
     out_json = tmp_path / "est.json"
-    assert main(["estimate", _tied_top_csv(tmp_path), "--json", str(out_json)]) == 0
-    assert capsys.readouterr().err == ""
+    code = main(["estimate", data, "--json", str(out_json)])
     report = json.loads(out_json.read_text())
-    assert report["k"] == 20 and report["gamma1_hat"] == pytest.approx(0.1244, abs=1e-4)
-    assert report["gamma2_hat"] > report["gamma1_hat"] and report["ci"] is not None
+    assert report["k"] >= 20
+    path = gamma1_path(TruncatedSample.from_csv(data))
+    assert report["k"] == tail_index.select_k_dispersion(path, 0.3, k_min=20)
+    assert report["k"] == 41 and report["gamma1_hat"] == pytest.approx(0.2196, abs=1e-4)
+    # the exit status follows gamma2_hat <= gamma1_hat, a model violation here
+    assert report["gamma2_hat"] <= report["gamma1_hat"] and report["ci"] is None
+    assert code == cli.EXIT_MODEL
+    assert capsys.readouterr().err.startswith(
+        "error: model violation: gamma2_hat=0.167998 <= gamma1_hat=0.219646")
 
 
 def test_estimate_reads_a_csv_with_a_utf8_byte_order_mark(tmp_path, capsys):
@@ -251,6 +258,23 @@ def test_manifest_and_version_flag_report_the_package_version(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["--version"])
     assert capsys.readouterr().out.strip() == trunctail.__version__
+
+
+def test_replay_warns_once_on_a_library_version_mismatch_and_still_runs(tmp_path, capsys):
+    data = _simulated_csv(tmp_path)
+    out_json = tmp_path / "est.json"
+    assert main(["estimate", data, "--json", str(out_json)]) == 0
+    manifest_path = tmp_path / "est.json.manifest.json"
+    assert main(["replay", str(manifest_path), "--outdir", str(tmp_path / "same")]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads(manifest_path.read_text())
+    manifest["library_version"] = "0.0.0"
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", str(manifest_path), "--outdir", str(tmp_path / "old")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: the manifest was written by trunctail '0.0.0'; replaying with "
+        f"{trunctail.__version__!r}, whose outputs may differ\n")
+    assert (tmp_path / "old" / "est.json").read_bytes() == out_json.read_bytes()
 
 
 def test_package_version_is_the_project_version():

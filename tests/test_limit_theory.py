@@ -100,12 +100,15 @@ def test_rmse_falls_with_sample_size_above_the_scan_floor():
 
     A scan that starts at k=4 puts over half of all k* at k <= 10, and
     its rmse does not fall with N.  Over eight seed chains ("kf", then
-    "kf1" to "kf7") the scan from max(4, isqrt(n)) gave rmse 0.116-0.153
-    at N=2 000 and 0.076-0.100 at N=10 000, with 0 k* at k <= 10 and
-    2.5-11.5% of k* exactly at the floor.  A scan from k=4 gave
-    0.274-0.377 and 0.312-0.486, with 55-70% of k* at k <= 10.  The
-    N=10 000 rmse alone separates the two, so it carries a cap; a bare
-    "rmse falls" check also held for the k=4 scan on 2 of the 8 chains.
+    "kf1" to "kf7") the window rule's scan from max(4, isqrt(n)) gave
+    rmse 0.103-0.124 at N=2 000 and 0.061-0.072 at N=10 000, with 0 k*
+    at k <= 10 and 0-6.5% of k* exactly at the floor.  The
+    median-dispersion rule it replaced gave 0.116-0.153 and 0.076-0.100
+    over the same scan range, with 2.5-11.5% at the floor; its scan
+    from k=4 gave 0.274-0.377 and 0.312-0.486, with 55-70% of k* at
+    k <= 10.  The N=10 000 rmse alone separates a floored scan from one
+    at k=4, so it carries a cap; a bare "rmse falls" check also held for
+    the k=4 scan on 2 of the 8 chains.
     """
     rmse = {}
     for big_n in (2000, 10_000):

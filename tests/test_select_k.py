@@ -1,15 +1,15 @@
-"""The running-median threshold scan against the direct quadratic loop.
+"""The window-variance threshold scan against a two-pass oracle.
 
-select_k_dispersion scores every k in one pass (integer ranks through
-two heaps, vectorised sums) and re-scores only the thresholds whose
-fast score could reach the minimum.  These tests hold it to the loop
-it replaced, kept here as _select_k_oracle, on a seeded corpus of
-estimator paths (scored once per path and theta, with the oracle
-itself run on a sample of the answers) and on arbitrary paths full of
-exact ties; they hold every fast score to its stated error bound
-against the oracle's formula, and every median of the pass to
-np.median's bit for bit; and they check that the bound is tight
-enough to leave realistic paths with at most two re-scored thresholds.
+select_k_dispersion scores every k at once from three cumulative sums
+(tail_index._window_scores).  These tests recompute each score from
+its definition, k^0.9 times the i^theta-weighted variance of
+path[ceil(2k/3)..k] about its own weighted mean, one window at a time
+(_two_pass_scores).  They hold every vectorised score to that value
+within the rounding bound of _bound, and the chosen k's two-pass score
+to the smallest one within the same bound, on a seeded corpus of
+estimator paths, on hand-built constant, plateau, tied, stepped,
+alternating and offset paths, and on arbitrary paths full of exact
+ties.
 """
 
 import math
@@ -22,53 +22,95 @@ from hypothesis import strategies as st
 from trunctail import (LYNDEN_BELL, WOODROOFE, burr, default_k_max,
                        gamma1_path, gamma2_for_target_p, hill_path,
                        select_k_dispersion)
-from trunctail import tail_index
-from trunctail.tail_index import _running_scores
+from trunctail.tail_index import _window_scores
 from trunctail.truncation import TruncationModel
 
-
-def _scan(path, theta, k_max):
-    """The summands path[2..k_max] and their weights i^theta."""
-    seg = np.ascontiguousarray(path[2:k_max + 1])
-    return seg, np.arange(2, k_max + 1, dtype=float) ** theta
+_U = 2.0 ** -53        # unit roundoff of float64
+_ETA = 2.0 ** -1074    # smallest subnormal: the absolute error unit under underflow
 
 
-def _direct_score(seg, weights, k):
-    """The score at k from its definition, rounded as the re-score step rounds it."""
-    m = k - 1                          # number of summands i = 2..k
-    med = np.median(seg[:m])
-    return float(weights[:m] @ np.abs(seg[:m] - med)) / k
+def _start(n, k_min):
+    """The scan's first k, as select_k_dispersion sets it."""
+    return max(4, math.isqrt(n) if k_min is None else k_min)
 
 
-def _select_k_oracle(path, theta=0.3, k_min=None, k_max=None):
-    """Direct O(n^2) scan: a fresh median and dot product for every k."""
+def _two_pass_scores(path, theta, start, k_max):
+    """k^0.9 Var_w(k) for k = start..k_max, one window at a time, and a bound on its error.
+
+    Each window is centred on its computed weighted mean m, and the
+    corrected two-pass formula (S2 - S1^2/W)/W, with S1 and S2 the sums
+    of w d and w d^2 over d = x - m, is exact for any m in exact
+    arithmetic (Chan, Golub & LeVeque, Amer. Statist. 37, 1983).  Its
+    rounding error over L terms is at most (L + 6) u times S2, 2|S1| A1/W
+    and S1^2/W (A1 the sum of w|d|), over W; the bound doubles that.
+    """
+    scores, errors = [], []
+    for k in range(start, k_max + 1):
+        lo = -(-2 * k // 3)
+        x = path[lo:k + 1]
+        w = np.arange(lo, k + 1, dtype=float) ** theta
+        total = float(w.sum())
+        d = x - float(w @ x) / total
+        s1, s2, a1 = float(w @ d), float(w @ (d * d)), float(w @ np.abs(d))
+        scale = k ** 0.9 / total
+        scores.append(scale * (s2 - s1 * s1 / total))
+        spread = s2 + (2.0 * a1 + abs(s1)) * abs(s1) / total
+        errors.append(scale * 2.0 * (k - lo + 7.0) * _U * spread + 8.0 * (k - lo + 8.0) * _ETA)
+    return np.array(scores), np.array(errors)
+
+
+def _bound(path, theta, start, k_max):
+    """A bound on |vectorised - exact| at every k = start..k_max.
+
+    The vectorised score takes window sums W, S1 and S2 of w, w x and
+    w x^2 (x = path - path[start]) as differences of prefix sums that
+    start at the first window's first index, so each is off by at most
+    (m + 4) u times the prefix total of its terms' magnitudes, A0, A1
+    and A2, with m the prefix's length.  (S2 - S1^2/W)/W then errs by
+    at most those errors through |S1|/W <= A1/W and S1^2/W^2 <= A1^2/W^2,
+    plus a few roundings of the same magnitudes.  The constant 8 exceeds
+    the operation counts, and one subnormal unit per operation covers
+    underflow.
+    """
+    ks = np.arange(start, k_max + 1)
+    lo = (2 * ks + 2) // 3
+    first = int(lo[0])
+    x = np.abs(path[first:k_max + 1] - path[start])
+    w = np.arange(first, k_max + 1, dtype=float) ** theta
+    prefix = np.zeros((3, x.size + 1))
+    np.cumsum([w, w * x, w * x * x], axis=1, out=prefix[:, 1:])
+    a0, a1, a2 = prefix[:, ks - first + 1]
+    win = a0 - prefix[0, lo - first]
+    m = ks - first + 1.0
+    spread = (a2 + 2.0 * a1 * a1 / win + a1 * a1 * a0 / (win * win)) / win
+    return ks ** 0.9 * 8.0 * (m + 8.0) * (_U * spread + _ETA)
+
+
+def _assert_scores_within_bound(path, theta, start, k_max, two_pass=None):
+    """Every vectorised score within the two bounds of its two-pass value.
+
+    two_pass, if given, is _two_pass_scores(path, theta, start, k_max).
+    Returns the two-pass scores and the summed bounds.
+    """
+    fast = _window_scores(path, theta, start, k_max)
+    slow, slow_error = two_pass or _two_pass_scores(path, theta, start, k_max)
+    bound = _bound(path, theta, start, k_max) + slow_error
+    outside = np.flatnonzero(~(np.abs(fast - slow) <= bound))
+    assert outside.size == 0, [(start + int(j), fast[j], slow[j], bound[j]) for j in outside[:3]]
+    return slow, bound
+
+
+def _assert_selects_a_minimum(path, theta, k_min=None, k_max=None, two_pass=None):
+    """The chosen k's two-pass score lies within the bounds of the smallest one."""
     n = path.shape[0]
-    if k_min is None:                  # the default floor, max(4, floor(sqrt(n)))
-        k_min = max(4, max(k for k in range(n + 1) if k * k <= n))
-    if k_max is None:
-        k_max = default_k_max(n)
-    seg, weights = _scan(path, theta, k_max)
-    best_k, best_score = None, np.inf
-    for k in range(max(k_min, 4), k_max + 1):
-        score = _direct_score(seg, weights, k)
-        if score < best_score:
-            best_k, best_score = k, score
-    return int(best_k)
-
-
-def _assert_within_bound(path, theta, k_max=None):
-    """|fast - direct| <= bound at every k in [2, k_max], and each median is np.median's."""
-    if k_max is None:
-        k_max = default_k_max(path.shape[0])
-    seg, weights = _scan(path, theta, k_max)
-    fast, bound, med = _running_scores(seg, weights)
-    expected = np.array([np.median(seg[:j + 1]) for j in range(seg.size)])
-    differ = np.flatnonzero(med.view(np.int64) != expected.view(np.int64))
-    assert differ.size == 0, [(int(j) + 2, med[j], expected[j]) for j in differ[:3]]
-    direct = np.array([_direct_score(seg, weights, k) for k in range(2, k_max + 1)])
-    outside = np.flatnonzero(~(np.abs(fast - direct) <= bound))
-    assert outside.size == 0, [(int(j) + 2, fast[j], direct[j], bound[j])
-                               for j in outside[:3]]
+    k_max = default_k_max(n) if k_max is None else k_max
+    start = _start(n, k_min)
+    slow, bound = _assert_scores_within_bound(path, theta, start, k_max, two_pass)
+    k = select_k_dispersion(path, theta, k_min, k_max)
+    assert start <= k <= k_max
+    best = int(np.argmin(slow))
+    assert slow[k - start] <= slow[best] + bound[k - start] + bound[best], (k, start + best)
+    return k, slow, bound
 
 
 def _corpus_paths():
@@ -91,121 +133,106 @@ def _corpus_paths():
 
 
 def test_matches_oracle_on_seeded_corpus():
-    # the oracle's scores do not depend on k_min: score each (path, theta)
-    # once and take the first argmin of each k_min range, which is what
-    # the oracle's strict < picks; every 97th answer also runs the oracle
-    checked = 0
-    for n, path in _corpus_paths():
-        k_max = default_k_max(n)
-        explicit = [k for k in sorted({2, max(2, math.isqrt(n))}) if k < k_max]
-        for theta in (0.0, 0.3, 0.5):
-            seg, weights = _scan(path, theta, k_max)
-            scores = np.array([_direct_score(seg, weights, k) for k in range(4, k_max + 1)])
-            for k_min in [None, *explicit]:
-                lo = max(math.isqrt(n) if k_min is None else k_min, 4)
-                expected = lo + int(np.argmin(scores[lo - 4:]))
-                if checked % 97 == 0:
-                    assert expected == _select_k_oracle(path, theta, k_min), (n, k_min, theta)
-                fast = select_k_dispersion(path, theta, k_min)
-                assert fast == expected, (n, k_min, theta)
-                checked += 1
-    assert checked >= 1000
+    # the bound stays far below the scores it guards (at most 2.7e-6 of
+    # one here), so on these paths the scores decide, not the rounding
+    checked, loosest = 0, 0.0
+    for i, (n, path) in enumerate(_corpus_paths()):
+        theta = (0.0, 0.3, 0.5)[i % 3]
+        # the two-pass scores do not depend on the scan's start: score once
+        scores, errors = _two_pass_scores(path, theta, 4, default_k_max(n))
+        for k_min in (None, 2, max(2, math.isqrt(n))):
+            skip = _start(n, k_min) - 4
+            _, slow, bound = _assert_selects_a_minimum(path, theta, k_min,
+                                                       two_pass=(scores[skip:], errors[skip:]))
+            positive = slow > 0
+            loosest = max(loosest, float(np.max(bound[positive] / slow[positive])))
+            checked += 1
+    assert checked >= 400 and loosest < 1e-5, (checked, loosest)
 
 
 def _hand_built_paths():
     rng = np.random.default_rng(7)
     ks = np.arange(1, 400)
+    constant = np.full(ks.size, 0.7)
     plateau = np.where(ks < 150, 0.6 + 0.3 * np.sin(ks) / ks, 0.6)
     plateau = np.where(ks > 300, 0.6 + 1e-3 * (ks - 300), plateau)
-    stepped = 0.5 + 0.1 * (ks // 40)
+    # a tied top of 40: the path reads a rounding residue of 0 for k < 40
+    tied_top = np.where(ks < 40, 1e-16 * rng.standard_normal(ks.size),
+                        0.12 + 0.02 * rng.standard_normal(ks.size))
     tied = np.round(0.6 + 0.05 * rng.standard_normal(ks.size), 1)
-    two_level = np.where(rng.random(ks.size) < 0.5, 0.7, 0.7 + 2.0 ** -40)
+    stepped = 0.5 + 0.1 * (ks // 40)
     alternating = np.where(ks % 2 == 0, 1.0, -1.0)
     offset = 1e8 + 1e-6 * rng.standard_normal(ks.size)
     tiny = 1e-310 * (1.0 + rng.random(ks.size))
-    for body in (np.full(ks.size, 0.7), np.zeros(ks.size), plateau, stepped,
-                 tied, two_level, alternating, offset, tiny):
+    for body in (constant, np.zeros(ks.size), plateau, tied_top, tied, stepped,
+                 alternating, offset, tiny):
         yield np.concatenate(([np.nan], body))
+    yield _two_level_path()
+
+
+def _two_level_path():
+    """Flat at 0.7 up to k = 99, then at 5.0 with noise of 0-2 ulps.
+
+    Centred on the first level, each window on the second one has a
+    rounded variance near 0, of either sign.
+    """
+    rng = np.random.default_rng(11)
+    ks = np.arange(1, 400)
+    return np.concatenate(([np.nan], np.where(ks < 100, 0.7,
+                                              5.0 + 2.0 ** -50 * rng.integers(0, 3, ks.size))))
+
+
+_HAND_RANGES = ((None, None), (2, None), (19, None), (2, 60), (5, 6))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
 def test_matches_oracle_on_constant_plateau_and_tied_paths(theta):
     for path in _hand_built_paths():
-        for k_min, k_max in ((2, None), (19, None), (2, 60), (5, 6)):
-            fast = select_k_dispersion(path, theta, k_min, k_max)
-            assert fast == _select_k_oracle(path, theta, k_min, k_max)
-
-
-def test_exact_score_tie_goes_to_the_smaller_k():
-    # the summands 0, 1, 5 score 5/4 at k = 4; with 2.25 added, whose
-    # median is 1.625, they score 6.25/5 at k = 5: exactly 1.25 both times
-    path = np.array([np.nan, 0.5, 0.0, 1.0, 5.0, 2.25, 9.0])
-    assert select_k_dispersion(path, 0.0, 4, 5) == _select_k_oracle(path, 0.0, 4, 5) == 4
+        for k_min, k_max in _HAND_RANGES:
+            _assert_selects_a_minimum(path, theta, k_min, k_max)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 0.5])
 def test_fast_scores_within_bound_on_hand_built_paths(theta):
+    # the scores are centred on path[start]: move the centre along each path
     for path in _hand_built_paths():
-        _assert_within_bound(path, theta)
+        for start in range(4, 41, 6):
+            _assert_scores_within_bound(path, theta, start, default_k_max(path.shape[0]))
 
 
 def test_fast_scores_within_bound_on_small_corpus_paths():
+    # scans that end early: k_max at half the default
     checked = 0
     for i, (n, path) in enumerate(_corpus_paths()):
-        if n <= 600:
-            _assert_within_bound(path, (0.0, 0.3, 0.5)[i % 3])
+        k_max = default_k_max(n) // 2
+        if n <= 600 and k_max >= 4:
+            _assert_scores_within_bound(path, (0.5, 0.0, 0.3)[i % 3], 4, k_max)
             checked += 1
-    assert checked >= 90
+    assert checked >= 60
 
 
-class _CountedReads:
-    """The pass's medians, counting reads: a re-scored threshold reads its one median."""
-
-    def __init__(self, med):
-        self.med, self.reads = med, 0
-
-    def __getitem__(self, j):
-        self.reads += 1
-        return self.med[j]
-
-
-def _count_rescores(monkeypatch):
-    """A list that gets the number of thresholds each selection re-scores."""
-    counts = []
-    rescore = tail_index._rescore_candidates
-
-    def counting(seg, weights, fast, bound, med, start):
-        reads = _CountedReads(med)
-        k = rescore(seg, weights, fast, bound, reads, start)
-        counts.append(reads.reads)
-        return k
-
-    monkeypatch.setattr(tail_index, "_rescore_candidates", counting)
-    return counts
+def test_exact_score_tie_goes_to_the_smaller_k():
+    # two flat stretches, path[1..40] and path[61..120]: every window inside
+    # either scores exactly 0, and the scan takes the first one it meets
+    ks = np.arange(1, 200)
+    body = np.where(ks <= 40, 0.7, np.where(ks <= 120, 0.9, 0.9 + 0.01 * np.sin(ks)))
+    body[40:60] += 0.05 * np.cos(ks[40:60])
+    path = np.concatenate(([np.nan], body))
+    assert select_k_dispersion(path, 0.3, 12) == 12
+    # from the second stretch: the first window inside [61, 120] is k = 91
+    assert select_k_dispersion(path, 0.3, 61) == 91
+    assert _window_scores(path, 0.3, 61, 120)[91 - 61:].max() == 0.0
 
 
-def test_rescore_takes_at_most_two_medians_on_burr_samples(monkeypatch):
-    # a loose bound passes every oracle test but re-scores many k, each
-    # at O(k), which would quietly make selection quadratic again
-    counts = _count_rescores(monkeypatch)
-    model = TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4))
-    for seed in range(4301, 4306):
-        sample = model.sample(4000, seed)
-        floor = max(4, math.isqrt(sample.n))
-        for path in (gamma1_path(sample, WOODROOFE), gamma1_path(sample, LYNDEN_BELL),
-                     hill_path(sample.y)):
-            for k_min in (2, floor):
-                select_k_dispersion(path, 0.3, k_min)
-                assert 1 <= counts.pop() <= 2, (seed, sample.n, k_min)
-    assert counts == []
-
-
-def test_constant_path_stops_at_first_zero_score(monkeypatch):
-    # every k of a constant path stays a candidate, but the first direct
-    # score is exactly 0.0 and nothing later can beat it
-    counts = _count_rescores(monkeypatch)
+def test_constant_path_stops_at_first_zero_score():
+    # every window of a constant path scores exactly 0: the scan floor wins
     assert select_k_dispersion(np.full(3000, 0.7), theta=0.3) == 54
-    assert counts == [1]
+    assert select_k_dispersion(np.full(3000, 1e8), theta=0.5, k_min=2) == 4
+    # a second level whose rounded window variances fall below 0 reads 0
+    # there, so it cannot beat the exact zeros of the first level
+    two_level = _two_level_path()
+    assert (_window_scores(two_level, 0.3, 4, default_k_max(400)) >= 0.0).all()
+    assert select_k_dispersion(two_level, 0.3, 4) == 4
 
 
 _TIED_VALUES = st.sampled_from([-1.0, 0.0, 0.25, 0.5, 0.5 + 2.0 ** -52, 0.6, 1.0, 3.0])
@@ -225,6 +252,4 @@ def _scans(draw):
 @given(_scans())
 def test_matches_oracle_on_arbitrary_tied_paths(scan):
     path, theta, k_min, k_max = scan
-    assert (select_k_dispersion(path, theta, k_min, k_max)
-            == _select_k_oracle(path, theta, k_min, k_max))
-    _assert_within_bound(path, theta, k_max)
+    _assert_selects_a_minimum(path, theta, k_min, k_max)
