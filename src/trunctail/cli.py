@@ -32,7 +32,7 @@ from .errors import (DegenerateTailError, EmptySampleError,
                      ModelViolationError, NumericError)
 from .limit_process import mc_variance
 from .montecarlo import StudyConfig, run_study
-from .product_limit import LYNDEN_BELL, WOODROOFE
+from .product_limit import _VARIANTS, WOODROOFE
 from .tail_index import default_k_max, full_report
 from .truncation import TruncatedSample
 
@@ -47,14 +47,6 @@ EXIT_NUMERIC = 5
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _write_manifest(path: str, command: str, parameters: dict, seeds: dict,
@@ -196,7 +188,9 @@ def cmd_replay(params: dict) -> int:
             raise ValueError(f"manifest {key} must be a JSON object")
     _check_recorded(command, recorded)
     for path, digest in digests.items():
-        if _sha256(path) != digest:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if hashlib.sha256(data).hexdigest() != digest:
             raise ValueError(f"input {path} changed since the manifest was written")
     version = manifest.get("library_version", __version__)
     if version != __version__:
@@ -236,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("input", help="CSV file with header x,y")
     est.add_argument("--k", type=int, default=None,
                      help="threshold; chosen by the window-variance rule if omitted")
-    est.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=WOODROOFE)
+    est.add_argument("--variant", choices=_VARIANTS, default=WOODROOFE)
     est.add_argument("--theta", type=float, default=0.3,
                      help="window weight exponent for automatic k (default 0.3)")
     est.add_argument("--level", type=float, default=0.95,
@@ -259,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--N", type=int, action="append", default=None,
                      help="pre-truncation size; repeat for several sizes")
     sim.add_argument("--reps", type=int, default=None, help="replicates per cell")
-    sim.add_argument("--variant", choices=[WOODROOFE, LYNDEN_BELL], default=None,
+    sim.add_argument("--variant", choices=_VARIANTS, default=None,
                      help=f"product-limit variant (default {WOODROOFE})")
     sim.add_argument("--theta", type=float, default=None,
                      help="window weight exponent for automatic k (default 0.3)")

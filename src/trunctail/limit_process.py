@@ -43,6 +43,8 @@ in its own helper.  Each row is reduced on its own, so rows from any
 grids with the same m stack and keep the bits of their own passes.  A
 row also gives its functional's exact variance on the grid, sum a_l^2,
 so mc_variance can split its error into grid bias and Monte Carlo noise.
+The functional a @ z is exactly N(0, sum a_l^2), so that noise has the
+exact standard error sum a_l^2 * sqrt(2/(n-1)) with no estimate of it.
 Every weight reduction in this module is numpy's fixed-order
 np.add.reduce, never BLAS, whose thread count would change the sums.
 Paths run on seeding._map, forked processes up to one per available
@@ -52,7 +54,7 @@ neither on the number of cores nor on the number of BLAS threads.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -377,9 +379,11 @@ class EnsembleStats:
     Attributes:
         mean: sample mean of L(W) (should be near 0).
         variance: sample variance (ddof=1).
-        std_error: standard error of the variance estimate.
         grid_variance: exact variance of the discretized L(W) on the
             m-step warped grid; its gap to sigma^2 is the grid bias.
+
+    On the grid L(W) is exactly N(0, grid_variance), so std_error is the
+    exact standard error of variance and grid_z an exact z-score.
     """
 
     gamma1: float
@@ -388,24 +392,21 @@ class EnsembleStats:
     m: int
     mean: float
     variance: float
-    std_error: float
     grid_variance: float
 
+    @property
+    def std_error(self) -> float:
+        """grid_variance * sqrt(2/(n_paths-1)), the sd of variance."""
+        return self.grid_variance * math.sqrt(2.0 / (self.n_paths - 1))
+
     def to_dict(self) -> dict:
-        """The limit-check report: these fields, grid_z, the closed form and the error to it."""
+        """The limit-check report: these fields, std_error, grid_z, the closed form and the error to it."""
         closed = asymptotic_variance(self.gamma1, self.gamma2)
         return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "n_paths": self.n_paths,
-            "m": self.m,
-            "mean": self.mean,
-            "variance": self.variance,
+            **asdict(self),
             "std_error": self.std_error,
-            "grid_variance": self.grid_variance,
             "grid_z": (self.variance - self.grid_variance) / self.std_error,
             "sigma2_closed_form": closed,
-            "mc_variance": self.variance,
             "relative_error": abs(self.variance / closed - 1.0),
         }
 
@@ -431,7 +432,5 @@ def _ensemble_stats(gamma1: float, gamma2: float, row: np.ndarray,
     mean = math.fsum(values) / n_paths
     centered = values - mean
     variance = math.fsum(centered * centered) / (n_paths - 1)
-    m4 = math.fsum(centered ** 4) / n_paths
-    var_of_var = max(m4 - (n_paths - 3) / (n_paths - 1) * variance ** 2, 0.0) / n_paths
     return EnsembleStats(gamma1, gamma2, n_paths, row.size, mean, variance,
-                         math.sqrt(var_of_var), math.fsum(row * row))
+                         math.fsum(row * row))

@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass
 
 from .distributions import burr
 from .errors import DegenerateTailError, EmptySampleError
-from .product_limit import LYNDEN_BELL, WOODROOFE
+from .product_limit import _VARIANTS, WOODROOFE
 from .seeding import _map, stable_key
 from .tail_index import gamma1_estimate
 from .truncation import TruncationModel, gamma2_for_target_p
@@ -36,7 +36,6 @@ __all__ = [
     "run_study",
 ]
 
-_VARIANTS = (WOODROOFE, LYNDEN_BELL)
 _MIN_OBSERVED = 10
 CSV_HEADER = ["p", "gamma1", "N", "mean_n", "mean_k_star", "abs_bias", "rmse", "completed"]
 

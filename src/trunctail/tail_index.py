@@ -276,8 +276,8 @@ def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
 
 
 def default_k_max(n: int) -> int:
-    """Default upper end of the threshold scan: floor(0.95 n) - 1, at most n-2."""
-    return min(int(math.floor(0.95 * n)) - 1, n - 2)
+    """Default upper end of the threshold scan: floor(0.95 n) - 1."""
+    return math.floor(0.95 * n) - 1
 
 
 def select_k_dispersion(path: np.ndarray, theta: float = 0.3,

@@ -587,7 +587,11 @@ def test_limit_check_stdout(capsys):
     assert code == 0
     assert set(out) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
                         "std_error", "grid_variance", "grid_z", "sigma2_closed_form",
-                        "mc_variance", "relative_error"}
+                        "relative_error"}
+    assert out["std_error"] == out["grid_variance"] * math.sqrt(2.0 / (out["n_paths"] - 1))
+    assert main(["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
+                 "--paths", "400", "--m", "512", "--seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["std_error"] == out["std_error"]
     assert out["grid_z"] == pytest.approx(
         (out["variance"] - out["grid_variance"]) / out["std_error"], rel=1e-12)
     assert out["sigma2_closed_form"] == pytest.approx(1.598625, abs=1e-9)

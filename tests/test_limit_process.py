@@ -14,7 +14,7 @@ from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
                                      _increment_weights, _limit_weights, _process_weights,
                                      _segment_weights, _warped_grid)
-from trunctail.seeding import derive_rng
+from trunctail.seeding import derive_rng, stable_key
 
 
 def _random_path(seed, m=8, q=3.0):
@@ -240,15 +240,37 @@ def test_mc_variance_reproducible_and_near_closed_form():
     assert d["sigma2_closed_form"] == pytest.approx(closed, rel=1e-14)
     assert set(d) == {"gamma1", "gamma2", "n_paths", "m", "mean", "variance",
                       "std_error", "grid_variance", "grid_z", "sigma2_closed_form",
-                      "mc_variance", "relative_error"}
-    assert d["mc_variance"] == a.variance
+                      "relative_error"}
     assert d["relative_error"] == abs(a.variance / d["sigma2_closed_form"] - 1.0)
+    # exact for a Gaussian functional: the same for every seed
+    assert d["std_error"] == a.grid_variance * math.sqrt(2.0 / (a.n_paths - 1))
+    assert mc_variance(0.6, 1.4, 4000, 4096, seed=6).std_error == a.std_error
 
 
 def test_mc_variance_second_pair():
     st = mc_variance(0.8, 3.2, 4000, 4096, seed=6)
     closed = asymptotic_variance(0.8, 3.2)
     assert abs(st.variance - closed) < 6.0 * st.std_error + 0.02 * closed
+
+
+def test_grid_z_is_calibrated_over_groups_of_one_ensemble():
+    # 400 groups of 125 paths at m = 256, each scored as its own
+    # ensemble; grid_z should then have mean 0 and sd 1.  Over eight
+    # seed chains (stable_key("calibration", c), c = 0..7) the mean of z
+    # was -0.052..+0.060 and its sd 0.956..1.041; the sampling sd of the
+    # mean is 0.05 and of the sd about 0.036.  A standard error missing
+    # the factor sqrt(2) moves the sd to 1.41.
+    n_groups, group = 400, 125
+    grid = _warped_grid(limit_process._tail_parameters(0.6, 1.4)[1], 256)
+    row = _increment_weights(grid, _limit_weights(grid, 0.6, 1.4))
+    values = _ensemble(row[np.newaxis], stable_key("calibration", 0), n_groups * group)[0]
+    z = np.array([_ensemble_stats(0.6, 1.4, row, v).to_dict()["grid_z"]
+                  for v in values.reshape(n_groups, group)])
+    mean, sd = float(np.mean(z)), float(np.std(z, ddof=1))
+    print(f"grid_z over {n_groups} groups of {group}: mean {mean:+.3f} sd {sd:.3f} "
+          f"(|mean| <= 0.2, sd in [0.85, 1.15])")
+    assert abs(mean) <= 0.2
+    assert abs(sd - 1.0) <= 0.15
 
 
 def _ensemble_oracle(rho, m, seed, n_paths):
