@@ -30,4 +30,4 @@ class ModelViolationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when quadrature or another numeric routine fails to converge."""
+    """Raised when a numeric routine cannot return a finite answer."""

@@ -334,6 +334,12 @@ def _delta_rows(rho: float, m: int) -> np.ndarray:
     return _increment_weights(grid, np.stack([w_plain, w_log, w_end]))
 
 
+def _limit_row(gamma1: float, gamma2: float, m: int) -> np.ndarray:
+    """Increment-weight row of L(W) on the m-step warped grid."""
+    grid = _warped_grid(_tail_parameters(gamma1, gamma2)[1], m)
+    return _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
+
+
 def _ensemble(rows: np.ndarray, seed: int, n_paths: int) -> np.ndarray:
     """rows @ z for the increments z of n_paths Wiener paths, shape
     (len(rows), n_paths).
@@ -420,8 +426,7 @@ def mc_variance(gamma1: float, gamma2: float, n_paths: int, m: int, seed: int) -
     (gamma1, gamma2, n_paths, m, seed), not on the core or BLAS thread
     count.
     """
-    grid = _warped_grid(_tail_parameters(gamma1, gamma2)[1], m)
-    row = _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
+    row = _limit_row(gamma1, gamma2, m)
     return _ensemble_stats(gamma1, gamma2, row, _ensemble(row[np.newaxis], seed, n_paths)[0])
 
 

@@ -73,8 +73,7 @@ class ProductLimitFit:
 
     def survival(self, x):
         """1 - df(x).  Scalar or array."""
-        out = 1.0 - self._suffix_df[np.searchsorted(self.atoms, x, side="right")]
-        return float(out) if np.ndim(x) == 0 else out
+        return 1.0 - self.df(x)
 
 
 def fit_product_limit(sample: TruncatedSample, variant: str = WOODROOFE) -> ProductLimitFit:

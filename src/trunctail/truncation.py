@@ -3,26 +3,23 @@
 A target variable X with marginal F and an independent truncation
 variable Y with marginal G are observed only on the event X <= Y.
 This module computes the truncation probability p = P(X <= Y), the
-marginals F and G of the observed pair, the coverage function
-C(z) = F(z) - G(z), and draws observed samples.
+survivals of the observed pair, the coverage function
+C(z) = F_obs(z) - G_obs(z), and draws observed samples.
 
-Quadrature note: the defining integrals are taken to the probability
-scale (substituting u = F(z) or v = G(z)), which maps each improper
-tail integral onto (0, 1) with a bounded smooth integrand; adaptive
-Gauss-Kronrod then converges quickly with no tail cutoff to choose.
-scipy.integrate is imported by the first quadrature, not with the
-module: same-family models have a closed-form p and never need it.
+The two marginals share a family: two Burr marginals with one delta,
+or two Pareto marginals.  Then Gbar = Fbar^c with c = gamma1/gamma2,
+and every quantity above is a product of F, Fbar and Gbar in closed
+form.
 """
 
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .distributions import HeavyTailModel
-from .errors import EmptySampleError, NumericError
+from .errors import EmptySampleError
 
 __all__ = [
     "TruncatedSample",
@@ -30,7 +27,6 @@ __all__ = [
     "gamma2_for_target_p",
 ]
 
-_QUAD_RTOL = 1e-8
 _TAG_TARGET, _TAG_TRUNCATOR = 1, 2
 
 
@@ -110,23 +106,6 @@ class TruncatedSample:
         return cls(np.array(xs), np.array(ys))
 
 
-def _quad(fun, lo, hi, what):
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        # the abserr check below is the convergence guard; QUADPACK's own
-        # roundoff chatter on extreme-tail slivers is not actionable
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr = integrate.quad(fun, lo, hi, epsabs=0.0,
-                                       epsrel=_QUAD_RTOL, limit=200)
-    if not np.isfinite(value) or abserr > 10 * _QUAD_RTOL * max(abs(value), 1e-12):
-        raise NumericError(
-            f"quadrature for {what} did not converge "
-            f"(value={value!r}, abserr={abserr!r})"
-        )
-    return value
-
-
 @dataclass
 class TruncationModel:
     """Pair of marginal models defining the truncation experiment.
@@ -135,19 +114,28 @@ class TruncationModel:
         f_model: marginal of the target variable X (tail index gamma1).
         g_model: marginal of the truncation variable Y (tail index gamma2).
 
-    The tail theory downstream needs gamma1 < gamma2; constructing a
-    model without that property emits a warning rather than an error so
-    boundary behaviour stays explorable.
+    The marginals must be two Burr models with one delta or two Pareto
+    models; any other pair is a ValueError.  The tail theory downstream
+    needs gamma1 < gamma2; constructing a model without that property
+    emits a warning rather than an error so boundary behaviour stays
+    explorable.
     """
 
     f_model: HeavyTailModel
     g_model: HeavyTailModel
 
     def __post_init__(self):
-        if self.f_model.tail_index >= self.g_model.tail_index:
+        f, g = self.f_model, self.g_model
+        if not (f.family == g.family == "pareto"
+                or (f.family == g.family == "burr" and f.delta == g.delta)):
+            raise ValueError(
+                "truncation model needs two Burr marginals with one delta or two "
+                f"Pareto marginals, got {f} and {g}"
+            )
+        if f.tail_index >= g.tail_index:
             warnings.warn(
                 "truncation tail is not lighter than the target tail "
-                f"(gamma1={self.f_model.tail_index} >= gamma2={self.g_model.tail_index}); "
+                f"(gamma1={f.tail_index} >= gamma2={g.tail_index}); "
                 "limit theory does not apply",
                 stacklevel=3,   # past the dataclass-generated __init__
             )
@@ -166,55 +154,26 @@ class TruncationModel:
         g1, g2 = self.gamma1, self.gamma2
         return g1 * g2 / (g1 + g2)
 
-    def _has_closed_form_p(self) -> bool:
-        f, g = self.f_model, self.g_model
-        if f.family == "pareto" and g.family == "pareto":
-            return True
-        return f.family == "burr" and g.family == "burr" and f.delta == g.delta
-
-    def _quadrature_p(self) -> float:
-        """P(X <= Y) = E[F(Y)], integrated numerically."""
-        fun = lambda v: self.f_model.df(self.g_model.quantile(v))
-        return _quad(fun, 0.0, 1.0, "truncation probability")
-
-    @cached_property
+    @property
     def p(self) -> float:
-        """p = P(X <= Y) for independent X ~ F, Y ~ G.
+        """p = P(X <= Y) = gamma2/(gamma1+gamma2) for independent X ~ F, Y ~ G."""
+        return self.gamma2 / (self.gamma1 + self.gamma2)
 
-        When the two marginals share a family and, for Burr, a delta,
-        p = gamma2/(gamma1+gamma2) in closed form; otherwise p is
-        integrated numerically.
-        """
-        if self._has_closed_form_p():
-            return self.gamma2 / (self.gamma1 + self.gamma2)
-        return self._quadrature_p()
-
-    def observed_marginals(self, x: float):
-        """Marginals of the observed pair at a point.
-
-        Args:
-            x: evaluation point, x >= 0.
+    def observed_survivals(self, x):
+        """Survivals of the observed pair, and its coverage, at x >= 0.
 
         Returns:
-            (F(x), G(x), C(x)) where F and G are the dfs of the
-            observed target and truncation values and C = F - G is the
-            coverage function P(X <= x <= Y | X <= Y).
+            (Fbar_obs(x), Gbar_obs(x), C(x)): the survivals of the
+            observed target and truncation values, Fbar*Gbar and
+            Gbar*(1 + c*F), and the coverage function
+            C = P(X <= x <= Y | X <= Y) = (1 + c)*F*Gbar, where
+            c = gamma1/gamma2.  None is computed as 1 minus a df, so
+            deep-tail values keep their relative precision.
         """
-        x = float(x)
-        if not (np.isfinite(x) and x >= 0.0):
-            raise ValueError("x must be finite and >= 0")
-        p = self.p
-        f, g = self.f_model, self.g_model
-        # quadrature nodes on a sliver [1 - tiny, 1] can round to 1.0
-        # exactly, where the quantile is undefined; pull them just inside
-        top = np.nextafter(1.0, 0.0)
-        # survival of observed X: p^-1 * int_{F(x)}^1 Gbar(QF(u)) du
-        fbar = _quad(lambda u: g.survival(f.quantile(min(u, top))), f.df(x), 1.0,
-                     "observed target survival") / p
-        gbar = _quad(lambda v: f.df(g.quantile(min(v, top))), g.df(x), 1.0,
-                     "observed truncation survival") / p
-        cov = min(max(gbar - fbar, 0.0), 1.0)
-        return 1.0 - fbar, 1.0 - gbar, cov
+        c = self.gamma1 / self.gamma2
+        f_df = self.f_model.df(x)
+        f_bar, g_bar = self.f_model.survival(x), self.g_model.survival(x)
+        return f_bar * g_bar, g_bar * (1.0 + c * f_df), (1.0 + c) * f_df * g_bar
 
     def sample(self, big_n: int, seed: int) -> TruncatedSample:
         """Generate big_n independent pairs and keep those with x <= y.
@@ -238,8 +197,8 @@ class TruncationModel:
 def gamma2_for_target_p(gamma1: float, p: float) -> float:
     """Truncation tail index giving truncation probability p.
 
-    Inverts p = gamma2/(gamma1+gamma2), exact for same-family pairs
-    (Pareto/Pareto, or Burr/Burr with a shared delta).
+    Inverts TruncationModel.p = gamma2/(gamma1+gamma2), exact for every
+    model the class accepts.
 
     Args:
         gamma1: target tail index, > 0.

@@ -691,8 +691,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["simulate --threads 2"] = watched_modules()
     assert trunctail.cli.main(["estimate", csv_path]) == 0
     seen["estimate"] = watched_modules()
-trunctail.TruncationModel(trunctail.burr(0.25, 0.6), trunctail.pareto(1.4)).p
-seen["mixed-family p"] = watched_modules()
+model = trunctail.TruncationModel(trunctail.burr(0.25, 0.6), trunctail.burr(0.25, 1.4))
+model.observed_survivals(2.0)
+seen["observed_survivals"] = watched_modules()
 with open(out_path, "w") as fh:
     json.dump(seen, fh)
 """
@@ -706,9 +707,8 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
     # neither scipy, numpy.ma, a thread or process pool nor importlib.metadata;
-    # parallel runs fork children
+    # parallel runs fork children, and estimate's interval uses the package's
+    # own normal quantile
     for step in ("import trunctail", "import trunctail.cli", "limit-check", "simulate",
-                 "simulate --threads 2"):
+                 "simulate --threads 2", "estimate", "observed_survivals"):
         assert seen[step] == [], step
-    assert seen["estimate"] == []   # with its interval, whose quantile is the package's own
-    assert "scipy.integrate" in seen["mixed-family p"]

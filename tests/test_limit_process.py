@@ -12,8 +12,8 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
                        transformed_grid)
 from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
-                                     _increment_weights, _limit_weights, _process_weights,
-                                     _segment_weights, _warped_grid)
+                                     _increment_weights, _limit_row, _limit_weights,
+                                     _process_weights, _segment_weights, _warped_grid)
 from trunctail.seeding import derive_rng, stable_key
 
 
@@ -261,8 +261,7 @@ def test_grid_z_is_calibrated_over_groups_of_one_ensemble():
     # mean is 0.05 and of the sd about 0.036.  A standard error missing
     # the factor sqrt(2) moves the sd to 1.41.
     n_groups, group = 400, 125
-    grid = _warped_grid(limit_process._tail_parameters(0.6, 1.4)[1], 256)
-    row = _increment_weights(grid, _limit_weights(grid, 0.6, 1.4))
+    row = _limit_row(0.6, 1.4, 256)
     values = _ensemble(row[np.newaxis], stable_key("calibration", 0), n_groups * group)[0]
     z = np.array([_ensemble_stats(0.6, 1.4, row, v).to_dict()["grid_z"]
                   for v in values.reshape(n_groups, group)])
@@ -295,8 +294,7 @@ def test_ensemble_matches_cumsum_oracle(rho, m, seed):
     gamma2 = 1.4
     gamma = gamma2 * (1.0 - rho)
     gamma1 = gamma * gamma2 / (gamma2 - gamma)
-    grid = _warped_grid(rho, m)
-    row = _increment_weights(grid, _limit_weights(grid, gamma1, gamma2))
+    row = _limit_row(gamma1, gamma2, m)
     d1, d2, d3 = oracle
     expected = (-gamma * d3
                 + gamma / (gamma1 + gamma2) * ((gamma2 - gamma1) * d1 - gamma * d2))
@@ -321,10 +319,7 @@ def test_one_stacked_pass_gives_mc_variance_and_delta_moments_mc_exactly():
     # statistics this way
     m, n_paths, seed = 2 ** 10, 2000, 20260824
     pairs = ((0.6, 1.4), (0.8, 7.2))
-    rows = []
-    for gamma1, gamma2 in pairs:
-        grid = _warped_grid(limit_process._tail_parameters(gamma1, gamma2)[1], m)
-        rows.append(_increment_weights(grid, _limit_weights(grid, gamma1, gamma2)))
+    rows = [_limit_row(gamma1, gamma2, m) for gamma1, gamma2 in pairs]
     values = _ensemble(np.vstack(rows + [_delta_rows(0.7, m)]), seed, n_paths)
     for (gamma1, gamma2), row, v in zip(pairs, rows, values):
         assert (_ensemble_stats(gamma1, gamma2, row, v)

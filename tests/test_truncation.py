@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,13 +67,30 @@ def test_gamma2_for_target_p():
         gamma2_for_target_p(-1.0, 0.7)
 
 
+def _burr_density(delta, gamma):
+    """f(t) = t^(1/d - 1) (1 + t^(1/d))^(-d/g - 1) / g, the Burr density."""
+    return lambda t: (t ** (1.0 / delta - 1.0)
+                      * (1.0 + t ** (1.0 / delta)) ** (-delta / gamma - 1.0) / gamma)
+
+
+def _quad(fun, lo, hi):
+    value, err = integrate.quad(fun, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
+    assert err <= 1e-9 * abs(value), (value, err)
+    return value
+
+
+def _tail_integral(fun, x):
+    """int_x^inf fun(t) dt, taken over u = log(t/x) so that a power-law
+    integrand decays exponentially however deep x lies.  Every t*fun(t)
+    here falls at least like t^(-1/1.4), so cutting u at 60 drops a
+    relative 1e-18, and t^(1/delta) stays finite."""
+    return _quad(lambda u: fun(x * math.exp(u)) * x * math.exp(u), 0.0, 60.0)
+
+
 def test_truncation_probability_closed_form_cases():
     assert _pair(0.7, 0.6).p == pytest.approx(0.7, rel=1e-14)
     pp = TruncationModel(pareto(0.6), pareto(1.4))
     assert pp.p == pytest.approx(0.7, rel=1e-14)
-    mixed = TruncationModel(burr(0.25, 0.6), burr(0.5, 1.4))
-    assert not mixed._has_closed_form_p()
-    assert mixed.p == mixed._quadrature_p()
 
 
 def test_truncation_probability_is_not_a_constructor_argument():
@@ -80,61 +98,66 @@ def test_truncation_probability_is_not_a_constructor_argument():
         TruncationModel(burr(0.25, 0.6), burr(0.25, 1.4), 0.1)
     model = _pair(0.7, 0.6)
     assert model.p == pytest.approx(0.7, rel=1e-14)
-    assert "p" in vars(model)  # computed once, then cached
+
+
+@pytest.mark.parametrize("f,g", [(burr(0.25, 0.6), burr(0.5, 1.4)),
+                                 (pareto(0.5), frechet(1.0)),
+                                 (frechet(0.5), frechet(1.0))])
+def test_model_refuses_pairs_without_closed_forms(f, g):
+    with pytest.raises(ValueError, match=re.escape(f"got {f} and {g}")):
+        TruncationModel(f, g)
 
 
 def test_truncation_probability_quadrature_agrees_with_closed():
-    for p, gamma1 in ((0.7, 0.6), (0.8, 0.6), (0.9, 0.8)):
-        model = _pair(p, gamma1)
-        quad_p = model._quadrature_p()
-        assert quad_p == pytest.approx(p, abs=1e-6)
-    pp = TruncationModel(pareto(0.5), pareto(2.0))
-    assert pp._quadrature_p() == pytest.approx(0.8, abs=1e-6)
-
-
-def test_truncation_probability_mixed_families():
-    # independent route: p = E[F(Y)] = int F(y) g(y) dy with the
-    # explicit Frechet density
-    model = TruncationModel(pareto(0.5), frechet(1.0))
-    f, g = model.f_model, model.g_model
-    dens = lambda y: math.exp(-1.0 / y) / y ** 2
-    direct, err = integrate.quad(lambda y: f.df(y) * dens(y), 0.0, np.inf)
-    assert err < 1e-9
-    assert model.p == pytest.approx(direct, abs=1e-7)
+    # p = P(X <= Y) = E[F(Y)] = int_0^1 F(Q_G(v)) dv
+    for f, g in ((burr(0.25, 0.6), burr(0.25, 1.4)), (burr(1.0, 0.6), burr(1.0, 2.4)),
+                 (burr(2.0, 0.8), burr(2.0, 7.2)), (pareto(0.5), pareto(2.0))):
+        quad_p = _quad(lambda v: f.df(g.quantile(v)), 0.0, 1.0)
+        assert TruncationModel(f, g).p == pytest.approx(quad_p, rel=1e-9)
 
 
 def test_observed_target_survival_against_density_quadrature():
-    # p * Fbar_obs(x) = int_x^inf Gbar(t) f(t) dt with the explicit
-    # Burr density f(t) = t^(1/d - 1) (1 + t^(1/d))^(-d/g - 1) / g
-    model = _pair(0.7, 0.6, 0.25)
+    # p * Fbar_obs(x) = int_x^inf Gbar(t) f(t) dt and
+    # p * Gbar_obs(x) = int_x^inf F(t) g(t) dt with the explicit Burr densities
+    for delta in (0.25, 1.0):
+        model = _pair(0.7, 0.6, delta)
+        f, g = model.f_model, model.g_model
+        f_dens, g_dens = _burr_density(delta, model.gamma1), _burr_density(delta, model.gamma2)
+        for x in np.geomspace(0.5, 1e3, 8):
+            f_bar, g_bar, cov = model.observed_survivals(x)
+            direct = _tail_integral(lambda t: g.survival(t) * f_dens(t), x)
+            assert f_bar * model.p == pytest.approx(direct, rel=1e-8)
+            direct = _tail_integral(lambda t: f.df(t) * g_dens(t), x)
+            assert g_bar * model.p == pytest.approx(direct, rel=1e-8)
+            assert cov == pytest.approx(g_bar - f_bar, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("delta", [0.25, 1.0])
+def test_observed_survivals_deep_in_the_tail(delta):
+    # at x = 1e6, p * Fbar_obs ~ 7e-12 is an integral over the sliver
+    # [F(x), 1] of the probability scale, where adaptive quadrature
+    # misses a 1e-7 relative tolerance; the closed forms stay finite and
+    # match the density quadrature of Fbar_obs
+    model = TruncationModel(burr(delta, 0.6), burr(delta, 5.4))
     f, g = model.f_model, model.g_model
-    d, gm = 0.25, 0.6
-
-    def dens(t):
-        return t ** (1.0 / d - 1.0) * (1.0 + t ** (1.0 / d)) ** (-d / gm - 1.0) / gm
-
-    p = model.p
-    for x in np.geomspace(0.5, 1e3, 8):
-        fobs, gobs, cov = model.observed_marginals(x)
-        direct, err = integrate.quad(lambda t: g.survival(t) * dens(t), x, np.inf,
-                                     limit=200)
-        assert err < 1e-7
-        assert (1.0 - fobs) * p == pytest.approx(direct, rel=1e-6, abs=1e-10)
-        assert cov == pytest.approx((1.0 - gobs) - (1.0 - fobs), abs=1e-9)
+    f_bar, g_bar, cov = model.observed_survivals(1e6)
+    assert np.isfinite([f_bar, g_bar, cov]).all()
+    assert 0.0 < f_bar < g_bar < 1.0
+    assert cov == pytest.approx(g_bar - f_bar, rel=1e-12)
+    f_dens = _burr_density(delta, 0.6)
+    assert f_bar * model.p == pytest.approx(
+        _tail_integral(lambda t: g.survival(t) * f_dens(t), 1e6), rel=1e-8)
 
 
-def test_observed_marginals_shape():
+def test_observed_survivals_shape():
     model = _pair()
-    f0, g0, c0 = model.observed_marginals(0.0)
-    assert f0 == pytest.approx(0.0, abs=1e-9)
-    assert g0 == pytest.approx(0.0, abs=1e-9)
-    assert c0 == pytest.approx(0.0, abs=1e-9)
-    f1, g1, c1 = model.observed_marginals(2.0)
-    f2, g2, c2 = model.observed_marginals(20.0)
-    assert f2 > f1 and g2 > g1
-    # observed target df dominates the truncation df (x <= y pointwise)
-    assert f1 >= g1 and f2 >= g2
-    assert 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
+    assert model.observed_survivals(0.0) == (1.0, 1.0, 0.0)
+    f1, g1, c1 = model.observed_survivals(2.0)
+    f2, g2, c2 = model.observed_survivals(20.0)
+    assert f2 < f1 and g2 < g1
+    # observed target survival lies below the truncation's (x <= y pointwise)
+    assert f1 <= g1 and f2 <= g2
+    assert 0.0 < c1 <= 1.0 and 0.0 < c2 <= 1.0
 
 
 def test_observed_tail_index_formula():
