@@ -7,10 +7,10 @@ Subcommands:
     replay      re-run a command from a previously written manifest
 
 Every run that writes an output file also writes a manifest recording
-the command, the fully resolved parameters, seeds, library version and
-input digests; `replay` reproduces the outputs bit-for-bit (only the
-manifest timestamp differs) under the library version it records; under
-any other it warns on stderr, then runs.
+the command, the fully resolved parameters, seeds, the trunctail,
+Python and numpy versions and input digests; `replay` reproduces the
+outputs bit-for-bit (only the manifest timestamp differs) under the
+versions it records; where any differs it warns on stderr, then runs.
 
 Exit codes, mapped from exceptions in `main` alone: 0 ok, 2 bad input
 (including unreadable input and unwritable output), 3 model violation,
@@ -26,6 +26,8 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .errors import (DegenerateTailError, EmptySampleError,
@@ -49,13 +51,21 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# manifest key: (what wrote it, as replay's warning names it; the running version)
+_VERSIONS = {
+    "library_version": ("trunctail", __version__),
+    "python_version": ("Python", "{}.{}.{}".format(*sys.version_info[:3])),
+    "numpy_version": ("numpy", np.__version__),
+}
+
+
 def _write_manifest(path: str, command: str, parameters: dict, seeds: dict,
                     input_digests: dict, outputs: list) -> None:
     manifest = {
         "command": command,
         "parameters": parameters,
         "seeds": seeds,
-        "library_version": __version__,
+        **{key: running for key, (_, running) in _VERSIONS.items()},
         "input_digests": input_digests,
         "outputs": outputs,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -192,10 +202,11 @@ def cmd_replay(params: dict) -> int:
             data = fh.read()
         if hashlib.sha256(data).hexdigest() != digest:
             raise ValueError(f"input {path} changed since the manifest was written")
-    version = manifest.get("library_version", __version__)
-    if version != __version__:
-        print(f"warning: the manifest was written by trunctail {version!r}; replaying "
-              f"with {__version__!r}, whose outputs may differ", file=sys.stderr)
+    for key, (name, running) in _VERSIONS.items():
+        version = manifest.get(key, running)
+        if version != running:
+            print(f"warning: the manifest was written by {name} {version!r}; replaying "
+                  f"with {running!r}, whose outputs may differ", file=sys.stderr)
     recorded = _RecordedParameters(recorded)
     outdir = params["outdir"]
     if outdir is not None:

@@ -347,8 +347,12 @@ def _window_scores(path: np.ndarray, theta: float, start: int, k_max: int) -> np
     x = path[first:k_max + 1] - path[start]
     w = np.arange(first, k_max + 1, dtype=float) ** theta
     sums = np.zeros((3, x.size + 1))      # sums[:, j]: totals of the first j terms
-    np.cumsum([w, w * x, w * x * x], axis=1, out=sums[:, 1:])
-    win_w, win_x, win_xx = sums[:, ks - first + 1] - sums[:, lo - first]
+    wx = w * x
+    w.cumsum(out=sums[0, 1:])
+    wx.cumsum(out=sums[1, 1:])
+    (wx * x).cumsum(out=sums[2, 1:])
+    # the upper ends ks - first + 1 run on to the last column
+    win_w, win_x, win_xx = sums[:, start - first + 1:] - sums[:, lo - first]
     return ks ** 0.9 * (np.maximum(win_xx - win_x * win_x / win_w, 0.0) / win_w)
 
 

@@ -84,6 +84,38 @@ class TruncatedSample:
 
     @classmethod
     def read_csv(cls, fh) -> "TruncatedSample":
+        """Read pairs from a text handle at a header line x,y.
+
+        On a seekable handle whose first line is exactly x,y, numpy's C
+        reader parses the rows.  A body it refuses, a table that is not
+        n x 2 and any other header or handle go to _read_csv_rows, from
+        the start: that reader also takes underscored and non-ASCII
+        digits, and names the first bad data row.  So the pairs, to the
+        bit (both convert with PyOS_string_to_double), or the ValueError
+        are that reader's.
+        """
+        if fh.seekable():
+            start = fh.tell()
+            if fh.readline().rstrip("\r\n") == "x,y":
+                try:
+                    with warnings.catch_warnings():
+                        # an empty body fails the shape check below instead
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                                UserWarning)
+                        xy = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                        ndmin=2, dtype=float)
+                except ValueError:
+                    pass
+                else:
+                    if xy.shape[0] >= 1 and xy.shape[1] == 2:
+                        x, y = xy.T.copy()
+                        return cls(x, y)
+            fh.seek(start)
+        return cls._read_csv_rows(fh)
+
+    @classmethod
+    def _read_csv_rows(cls, fh) -> "TruncatedSample":
+        """read_csv by the csv module's reader, which names the first bad data row."""
         reader = csv.reader(fh)
         try:
             header = next(reader)

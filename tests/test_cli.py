@@ -254,7 +254,12 @@ def test_manifest_and_version_flag_report_the_package_version(tmp_path, capsys):
     out_json = str(tmp_path / "est.json")
     assert main(["estimate", _simulated_csv(tmp_path), "--json", out_json]) == 0
     manifest = json.loads((tmp_path / "est.json.manifest.json").read_text())
+    assert set(manifest) == {"command", "parameters", "seeds", "library_version",
+                             "python_version", "numpy_version", "input_digests",
+                             "outputs", "created_utc"}
     assert manifest["library_version"] == trunctail.__version__
+    assert manifest["python_version"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert manifest["numpy_version"] == np.__version__
     with pytest.raises(SystemExit):
         main(["--version"])
     assert capsys.readouterr().out.strip() == trunctail.__version__
@@ -274,6 +279,23 @@ def test_replay_warns_once_on_a_library_version_mismatch_and_still_runs(tmp_path
     assert capsys.readouterr().err == (
         f"warning: the manifest was written by trunctail '0.0.0'; replaying with "
         f"{trunctail.__version__!r}, whose outputs may differ\n")
+    assert (tmp_path / "old" / "est.json").read_bytes() == out_json.read_bytes()
+
+
+def test_replay_warns_on_a_python_or_numpy_version_mismatch(tmp_path, capsys):
+    out_json = tmp_path / "est.json"
+    assert main(["estimate", _simulated_csv(tmp_path), "--json", str(out_json)]) == 0
+    manifest_path = tmp_path / "est.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    python, numpy = manifest["python_version"], manifest["numpy_version"]
+    manifest.update(python_version="3.9.0", numpy_version="1.0.0")
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["replay", str(manifest_path), "--outdir", str(tmp_path / "old")]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: the manifest was written by Python '3.9.0'; replaying with {python!r}, "
+        "whose outputs may differ\n"
+        f"warning: the manifest was written by numpy '1.0.0'; replaying with {numpy!r}, "
+        "whose outputs may differ\n")
     assert (tmp_path / "old" / "est.json").read_bytes() == out_json.read_bytes()
 
 

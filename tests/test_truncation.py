@@ -1,9 +1,12 @@
 import io
 import math
+import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from trunctail import (EmptySampleError, TruncatedSample, TruncationModel,
@@ -56,6 +59,63 @@ def test_csv_diagnostics():
         TruncatedSample.read_csv(io.StringIO("x,y\n"))
     with pytest.raises(ValueError, match=r"^non-finite value at data row\(s\) 2, 3$"):
         TruncatedSample.read_csv(io.StringIO("x,y\n1,2\nnan,3\n2,inf\n"))
+    # where numpy's reader and the csv module's could part, the csv module's answer holds
+    sample = TruncatedSample.read_csv(io.StringIO("x,y\n1_0,20\n"))
+    assert (sample.x.tolist(), sample.y.tolist()) == ([10.0], [20.0])
+    sample = TruncatedSample.read_csv(io.StringIO("x,y\r1,2\r3,4\r", newline=""))
+    assert (sample.x.tolist(), sample.y.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+    with pytest.raises(ValueError, match="^data row 2: expected two columns$"):
+        TruncatedSample.read_csv(io.StringIO("x,y\n1,2\n \t\n3,4\n"))
+    with pytest.raises(ValueError, match="^data row 1: expected two columns$"):
+        TruncatedSample.read_csv(io.StringIO("x,y\n1,2,3\n4,5,6\n"))
+    sample = TruncatedSample.read_csv(io.StringIO('x,y\n"1",2\n3,"4"\n'))
+    assert (sample.x.tolist(), sample.y.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+
+
+def test_read_csv_reads_a_pipe():
+    read_end, write_end = os.pipe()
+    with open(write_end, "w") as out:
+        out.write("x,y\n1,2\n3,4\n")
+    with open(read_end, newline="") as fh:
+        assert not fh.seekable()
+        sample = TruncatedSample.read_csv(fh)
+    assert (sample.x.tolist(), sample.y.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+
+
+def _read_outcome(read, text):
+    try:
+        sample = read(io.StringIO(text, newline=""))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return sample.x.tobytes(), sample.y.tobytes()
+
+
+_CSV_NUMBER = st.floats(min_value=0.0).map(repr)
+# plain, quoted, or quoted across a line end
+_CSV_QUOTED = st.sampled_from(["{}", '"{}"', '"{}\n"'])
+_CSV_PAIR = st.tuples(st.lists(_CSV_NUMBER, min_size=2, max_size=2).map(
+    lambda pair: sorted(pair, key=float)), _CSV_QUOTED, _CSV_QUOTED).map(
+    lambda t: t[1].format(t[0][0]) + "," + t[2].format(t[0][1]))
+_CSV_LINE_END = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\n\r\n"])
+_CSV_JUNK = st.sampled_from(["_", "١", "#", ";", " ", "\t", "nan", "inf", "e", "E", "+", "-",
+                             ".", ",", '"', '""', "\r", "\n", "\n \t\n"])
+# one piece of junk put anywhere in a row of two numbers
+_CSV_ODD_ROW = st.tuples(_CSV_PAIR, _CSV_JUNK, st.integers(0, 60)).map(
+    lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(header=st.sampled_from(["x,y\n", "x,y\r\n", "x,y\r"]),
+       rows=st.lists(_CSV_PAIR, max_size=6), odd=st.none() | _CSV_ODD_ROW,
+       at=st.integers(0, 6), ends=st.lists(_CSV_LINE_END, min_size=7, max_size=7))
+def test_read_csv_matches_the_csv_module_reader(header, rows, odd, at, ends):
+    # at most one odd row, so that whole files reach numpy's reader
+    # and any row it reads otherwise than the csv module shows
+    if odd is not None:
+        rows.insert(at, odd)
+    text = header + "".join(row + end for row, end in zip(rows, ends))
+    assert (_read_outcome(TruncatedSample.read_csv, text)
+            == _read_outcome(TruncatedSample._read_csv_rows, text))
 
 
 def test_gamma2_for_target_p():
