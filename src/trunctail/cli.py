@@ -256,20 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="manifest path (default: first output + .manifest.json)")
 
     sim = sub.add_parser("simulate", help="run a replicated truncation study")
-    sim.add_argument("--config", default=None, metavar="PATH",
-                     help="JSON study config; replaces the inline cell flags")
-    sim.add_argument("--p", type=float, default=None, help="truncation probability")
-    sim.add_argument("--gamma1", type=float, default=None, help="target tail index")
-    sim.add_argument("--delta", type=float, default=None, help="Burr shape (default 0.25)")
-    sim.add_argument("--N", type=int, action="append", default=None,
-                     help="pre-truncation size; repeat for several sizes")
-    sim.add_argument("--reps", type=int, default=None, help="replicates per cell")
-    sim.add_argument("--variant", choices=_VARIANTS, default=None,
-                     help=f"product-limit variant (default {WOODROOFE})")
-    sim.add_argument("--theta", type=float, default=None,
-                     help="window weight exponent for automatic k (default 0.3)")
+    sim.add_argument("--config", required=True, metavar="PATH",
+                     help="JSON study config: cells, replicates and estimation settings")
     sim.add_argument("--seed", type=int, default=None,
-                     help="master seed (required unless --config supplies one)")
+                     help="master seed; overrides the config's master_seed")
     sim.add_argument("--threads", type=int, default=1,
                      help="processes to run on, this one included, capped at the "
                           "available cores (default 1); never changes the output")
@@ -293,35 +283,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Inline simulate flags: (flag, StudyConfig key, required without --config).
-# --seed alone may also override a --config file.
-_STUDY_FLAGS = (("--p", "p", True), ("--gamma1", "gamma1", True),
-                ("--delta", "delta", False), ("--N", "N", True),
-                ("--reps", "replicates", True), ("--variant", "variant", False),
-                ("--theta", "theta", False), ("--seed", "master_seed", True))
-_CELL_KEYS = ("p", "gamma1", "delta", "N")
-
-
 def _simulate_params(params: dict) -> dict:
     """Resolve the simulate flags into the config dict cmd_simulate runs."""
-    given = {key: params[flag[2:]] for flag, key, _ in _STUDY_FLAGS
-             if params[flag[2:]] is not None}
-    if params["config"] is not None:
-        for flag, key, _ in _STUDY_FLAGS:
-            if key in given and key != "master_seed":
-                raise ValueError(f"{flag} conflicts with --config")
-        with open(params["config"]) as fh:
-            config = StudyConfig.from_json(fh.read())
-        if "master_seed" in given:
-            config = dataclasses.replace(config, master_seed=given["master_seed"])
-    else:
-        missing = [flag for flag, key, required in _STUDY_FLAGS
-                   if required and key not in given]
-        if missing:
-            raise ValueError(f"missing required flag(s) {', '.join(missing)} "
-                             "(or pass --config)")
-        cell = {key: given.pop(key) for key in _CELL_KEYS if key in given}
-        config = StudyConfig.from_dict({"cells": [cell], **given})
+    with open(params["config"]) as fh:
+        config = StudyConfig.from_json(fh.read())
+    if params["seed"] is not None:
+        config = dataclasses.replace(config, master_seed=params["seed"])
     if params["threads"] < 1:
         raise ValueError("--threads must be >= 1")
     return {"config": config.to_dict(), "threads": params["threads"], "out": params["out"]}

@@ -38,9 +38,10 @@ functional w @ values equals a @ z for the increment weights
 a_l = sd_l * sum_{j>=l} w_j.  _ensemble takes a stack of such rows
 and a path costs one normal fill from its own stream (seed, i) and one
 product-and-sum over the stack.  mc_variance passes L(W)'s row and
-delta_moments_mc the three Delta rows, and each aggregates the values
-in its own helper.  Each row is reduced on its own, so rows from any
-grids with the same m stack and keep the bits of their own passes.  A
+aggregates the values in _ensemble_stats; the three Delta rows of
+_delta_rows go through _delta_moments, the Monte Carlo counterpart of
+delta_moments.  Each row is reduced on its own, so rows from any grids
+with the same m stack and keep the bits of their own passes.  A
 row also gives its functional's exact variance on the grid, sum a_l^2,
 so mc_variance can split its error into grid bias and Monte Carlo noise.
 The functional a @ z is exactly N(0, sum a_l^2), so that noise has the
@@ -69,12 +70,10 @@ __all__ = [
     "WienerPath",
     "combined_delta_second_moment",
     "delta_moments",
-    "delta_moments_mc",
     "gamma_process",
     "limiting_rv",
     "mc_variance",
     "simulate_wiener",
-    "transformed_grid",
 ]
 
 
@@ -87,7 +86,7 @@ class WienerPath:
         values: W at the grid times, values[0] = 0.
 
     simulate_wiener produces paths on the uniform grid j/m; the Monte
-    Carlo ensembles use warped grids (see transformed_grid).  Between
+    Carlo ensembles use warped grids (see _transformed_grid).  Between
     grid points the path is understood as linearly interpolated.
     """
 
@@ -123,7 +122,7 @@ def simulate_wiener(m: int, seed: int) -> WienerPath:
     return WienerPath(np.arange(m + 1) / m, values)
 
 
-def transformed_grid(m: int, q: float) -> np.ndarray:
+def _transformed_grid(m: int, q: float) -> np.ndarray:
     """Warped time grid (j/m)^q concentrating resolution near 0."""
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -322,7 +321,7 @@ def combined_delta_second_moment(gamma1: float, gamma2: float) -> float:
 
 
 def _warped_grid(rho: float, m: int) -> np.ndarray:
-    return transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    return _transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
 
 
 def _delta_rows(rho: float, m: int) -> np.ndarray:
@@ -358,17 +357,6 @@ def _ensemble(rows: np.ndarray, seed: int, n_paths: int) -> np.ndarray:
         return _weigh(rows, z, prod).tolist()
 
     return np.array(_map(path, range(n_paths), n_paths)).T
-
-
-def delta_moments_mc(rho: float, n_paths: int, m: int, seed: int) -> DeltaMoments:
-    """Monte Carlo counterpart of delta_moments over n_paths Wiener paths.
-
-    Sampling happens on the warped grid transformed_grid(m, q); see the
-    module docstring for why a uniform grid would bias the moments low.
-    """
-    if not (0.5 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0.5, 1), got {rho}")
-    return _delta_moments(_ensemble(_delta_rows(rho, m), seed, n_paths))
 
 
 def _delta_moments(values: np.ndarray) -> DeltaMoments:

@@ -121,18 +121,24 @@ class TruncatedSample:
             header = next(reader)
         except StopIteration:
             raise ValueError("empty CSV: expected header x,y") from None
+        except csv.Error as exc:
+            raise ValueError(f"bad CSV header: {exc}") from None
         if [h.strip() for h in header] != ["x", "y"]:
             raise ValueError(f"bad CSV header {header!r}: expected x,y")
         xs, ys = [], []
+        lineno = 0
         # blank lines are skipped and not counted, as in _data_rows
-        for lineno, row in enumerate(filter(None, reader), start=1):
-            if len(row) != 2:
-                raise ValueError(f"data row {lineno}: expected two columns")
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"data row {lineno}: non-numeric value") from None
+        try:
+            for lineno, row in enumerate(filter(None, reader), start=1):
+                if len(row) != 2:
+                    raise ValueError(f"data row {lineno}: expected two columns")
+                try:
+                    xs.append(float(row[0]))
+                    ys.append(float(row[1]))
+                except ValueError:
+                    raise ValueError(f"data row {lineno}: non-numeric value") from None
+        except csv.Error as exc:   # raised reading the row after the last one counted
+            raise ValueError(f"data row {lineno + 1}: {exc}") from None
         if not xs:
             raise ValueError("CSV contains no data rows")
         return cls(np.array(xs), np.array(ys))

@@ -11,8 +11,8 @@ stream, and only the rows depend on the grid, so c4's two L(W) rows,
 (0.6, 1.4) on the rho = 0.7 grid and (0.8, 7.2) on the rho = 0.9 grid,
 stack on c5's three Delta rows (rho = 0.7) with the same m.  Each row
 gets the bits of its own pass (see tests/test_limit_process.py), so
-both gates measure the numbers that mc_variance and delta_moments_mc
-would, from one pass instead of three.
+both gates measure the numbers that mc_variance and a pass of the
+Delta rows alone would, from one pass instead of three.
 
 Gate c9 checks the paper's central theorem: the product-limit tail
 process D_n(x) of product_limit.tail_process is approximately the

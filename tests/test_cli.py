@@ -46,6 +46,14 @@ def _simulated_csv(tmp_path, big_n=400, seed=13):
     return str(path)
 
 
+def _study_config(tmp_path, big_n, replicates, seed, name="study-config.json"):
+    """Write a one-cell (p = 0.7, gamma1 = 0.6) study config and return its path."""
+    path = tmp_path / name
+    path.write_text(json.dumps({"cells": [{"p": 0.7, "gamma1": 0.6, "N": big_n}],
+                                "replicates": replicates, "master_seed": seed}))
+    return str(path)
+
+
 def test_estimate_single_log_ratio(tmp_path, capsys):
     code = main(["estimate", _three_pair_csv(tmp_path), "--k", "1", "--no-ci"])
     out = json.loads(capsys.readouterr().out)
@@ -396,8 +404,8 @@ def _recorded_manifest(tmp_path, command):
         "estimate": ["estimate", _simulated_csv(tmp_path), "--json", out],
         "limit-check": ["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
                         "--paths", "50", "--m", "64", "--seed", "3", "--json", out],
-        "simulate": ["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-                     "--reps", "2", "--seed", "2", "--out", out],
+        "simulate": ["simulate", "--config", _study_config(tmp_path, 150, 2, 2),
+                     "--out", out],
     }[command]
     assert main(argv) == 0
     return tmp_path / "out.manifest.json"
@@ -480,8 +488,7 @@ def test_estimate_model_violation_still_prints(tmp_path, capsys):
 
 def test_simulate_inline(tmp_path, capsys):
     prefix = str(tmp_path / "study")
-    code = main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-                 "--reps", "6", "--seed", "1", "--out", prefix])
+    code = main(["simulate", "--config", _study_config(tmp_path, 150, 6, 1), "--out", prefix])
     assert code == 0
     lines = (tmp_path / "study.csv").read_text().strip().split("\n")
     assert lines[0].startswith("p,gamma1,N,")
@@ -495,26 +502,62 @@ def test_simulate_inline(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_config_writes_pinned_bytes(tmp_path, capsys):
+    # the sha256 of what `simulate --p 0.7 --gamma1 0.6 --N 200 --N 2000
+    # --reps 20 --seed 20260824` wrote before the inline cell flags were
+    # removed; the same study as a config file writes the same bytes
+    config = _study_config(tmp_path, [200, 2000], 20, 20260824)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "s")]) == 0
+    digests = {suffix: hashlib.sha256((tmp_path / f"s.{suffix}").read_bytes()).hexdigest()
+               for suffix in ("csv", "json")}
+    assert digests == {
+        "csv": "86433c534650b5c88c9146723e2e92e5b1144726a4527af08562ab8cc9f30b85",
+        "json": "c5dfc5ca8a20570958d24a884b67cd5af57babec1f43ed8cdbb46f3a6c6ad06b",
+    }
+    capsys.readouterr()
+
+
+def test_simulate_seed_overrides_the_config(tmp_path, capsys):
+    config = _study_config(tmp_path, 150, 3, 7)
+    assert main(["simulate", "--config", config, "--seed", "5",
+                 "--out", str(tmp_path / "over")]) == 0
+    manifest = json.loads((tmp_path / "over.manifest.json").read_text())
+    assert manifest["seeds"] == {"master_seed": 5}
+    assert manifest["parameters"]["config"]["master_seed"] == 5
+    # the same bytes as a config that says master_seed 5 itself
+    written = _study_config(tmp_path, 150, 3, 5, name="seed5.json")
+    assert main(["simulate", "--config", written, "--out", str(tmp_path / "five")]) == 0
+    for suffix in ("csv", "json"):
+        assert ((tmp_path / f"over.{suffix}").read_bytes()
+                == (tmp_path / f"five.{suffix}").read_bytes())
+    capsys.readouterr()
+
+
 def test_simulate_flag_validation(tmp_path, capsys):
-    assert main(["simulate", "--p", "0.7", "--gamma1", "0.6",
-                 "--N", "100", "--reps", "4"]) == 2  # no seed
-    err = capsys.readouterr().err
-    assert "--seed" in err
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"cells": [], "replicates": 2}))
-    assert main(["simulate", "--config", str(config),
-                 "--out", str(tmp_path / "s")]) == 2
+    prefix = str(tmp_path / "s")
+    assert main(["simulate", "--config", str(config), "--out", prefix]) == 2
     assert "/cells" in capsys.readouterr().err
-    config.write_text(json.dumps(
-        {"cells": [{"p": 0.7, "gamma1": 0.6, "N": 100}], "replicates": 2}))
-    assert main(["simulate", "--config", str(config), "--p", "0.5",
-                 "--out", str(tmp_path / "s")]) == 2
-    assert "conflicts" in capsys.readouterr().err
+    config = _study_config(tmp_path, 100, 2, 1)
+    assert main(["simulate", "--config", config, "--threads", "0", "--out", prefix]) == 2
+    assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    # the study comes from --config alone: no run without it, and no inline cell flag
+    for extra in ([], ["--p", "0.5"], ["--gamma1", "0.6"], ["--delta", "0.5"],
+                  ["--N", "100"], ["--reps", "3"], ["--variant", "lynden-bell"],
+                  ["--theta", "0.1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate"] + (extra + ["--config", config] if extra else [])
+                 + ["--out", prefix])
+        assert excinfo.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(extra)}" if extra
+                else "the following arguments are required: --config"
+                ) in capsys.readouterr().err
+    assert not (tmp_path / "s.manifest.json").exists()
 
 
 def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
-    args = ["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "200",
-            "--reps", "8", "--seed", "3"]
+    args = ["simulate", "--config", _study_config(tmp_path, 200, 8, 3)]
     p1 = str(tmp_path / "one")
     p2 = str(tmp_path / "two")
     assert main(args + ["--threads", "1", "--out", p1]) == 0
@@ -550,38 +593,30 @@ def test_forked_study_children_do_not_repeat_buffered_output():
     assert json.loads(report)["n_paths"] == 4   # one JSON document, written once
 
 
-@pytest.mark.parametrize("flag,value", [("--variant", "lynden-bell"),
-                                        ("--theta", "0.1"), ("--delta", "0.5"),
-                                        ("--reps", "3")])
-def test_simulate_config_rejects_inline_estimation_flags(tmp_path, capsys, flag, value):
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps(
-        {"cells": [{"p": 0.7, "gamma1": 0.6, "N": 100}], "replicates": 2}))
-    assert main(["simulate", "--config", str(config), flag, value,
-                 "--out", str(tmp_path / "s")]) == 2
-    assert f"{flag} conflicts with --config" in capsys.readouterr().err
-    assert not (tmp_path / "s.manifest.json").exists()
-
-
 def test_simulate_all_replicates_degenerate_exits_4(tmp_path, capsys):
     # N=5 never keeps the 10 observed pairs a replicate needs
-    assert main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "5",
-                 "--reps", "3", "--seed", "1", "--out", str(tmp_path / "s")]) == 4
+    assert main(["simulate", "--config", _study_config(tmp_path, 5, 3, 1),
+                 "--out", str(tmp_path / "s")]) == 4
     assert "degenerate" in capsys.readouterr().err
     assert not (tmp_path / "s.manifest.json").exists()
 
 
 def test_simulate_inline_records_defaults_and_flags(tmp_path, capsys):
-    args = ["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-            "--reps", "2", "--seed", "1"]
-    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    assert main(args + ["--variant", "lynden-bell", "--theta", "0.1", "--delta", "0.5",
-                        "--out", str(tmp_path / "set")]) == 0
+    # a config without delta, variant, theta or master_seed gets their defaults
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"cells": [{"p": 0.7, "gamma1": 0.6, "N": 150}],
+                                 "replicates": 2}))
+    chosen = tmp_path / "chosen.json"
+    chosen.write_text(json.dumps({"cells": [{"p": 0.7, "gamma1": 0.6, "N": 150, "delta": 0.5}],
+                                  "replicates": 2, "variant": "lynden-bell", "theta": 0.1}))
+    assert main(["simulate", "--config", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    assert main(["simulate", "--config", str(chosen), "--out", str(tmp_path / "set")]) == 0
     plain = json.loads((tmp_path / "plain.manifest.json").read_text())["parameters"]
     chosen = json.loads((tmp_path / "set.manifest.json").read_text())["parameters"]
     assert plain["threads"] == 1
     assert (plain["config"]["variant"], plain["config"]["theta"],
-            plain["config"]["cells"][0]["delta"]) == ("woodroofe", 0.3, 0.25)
+            plain["config"]["cells"][0]["delta"], plain["config"]["master_seed"]) == (
+                "woodroofe", 0.3, 0.25, 0)
     assert (chosen["config"]["variant"], chosen["config"]["theta"],
             chosen["config"]["cells"][0]["delta"]) == ("lynden-bell", 0.1, 0.5)
     capsys.readouterr()
@@ -589,8 +624,8 @@ def test_simulate_inline_records_defaults_and_flags(tmp_path, capsys):
 
 def test_simulate_replay(tmp_path, capsys):
     prefix = str(tmp_path / "study")
-    assert main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-                 "--reps", "5", "--seed", "2", "--out", prefix]) == 0
+    assert main(["simulate", "--config", _study_config(tmp_path, 150, 5, 2),
+                 "--out", prefix]) == 0
     redo = tmp_path / "redo"
     redo.mkdir()
     assert main(["replay", prefix + ".manifest.json",
@@ -693,7 +728,7 @@ def watched_modules():
                   or m in ("numpy.ma", "multiprocessing", "concurrent.futures",
                            "concurrent.futures.process", "importlib.metadata"))
 
-csv_path, study_prefix, out_path = sys.argv[1:]
+csv_path, study_config, study_prefix, out_path = sys.argv[1:]
 seen = {}
 import trunctail
 seen["import trunctail"] = watched_modules()
@@ -703,12 +738,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert trunctail.cli.main(["limit-check", "--gamma1", "0.6", "--gamma2", "1.4",
                                "--paths", "200", "--m", "256", "--seed", "1"]) == 0
     seen["limit-check"] = watched_modules()
-    assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-                               "--reps", "2", "--seed", "1", "--out", study_prefix]) == 0
+    assert trunctail.cli.main(["simulate", "--config", study_config,
+                               "--out", study_prefix]) == 0
     seen["simulate"] = watched_modules()
     trunctail.seeding._worker_count = lambda: 2   # fork a child even on one core
-    assert trunctail.cli.main(["simulate", "--p", "0.7", "--gamma1", "0.6", "--N", "150",
-                               "--reps", "2", "--seed", "1", "--threads", "2",
+    assert trunctail.cli.main(["simulate", "--config", study_config, "--threads", "2",
                                "--out", study_prefix]) == 0
     seen["simulate --threads 2"] = watched_modules()
     assert trunctail.cli.main(["estimate", csv_path]) == 0
@@ -725,7 +759,8 @@ def test_scipy_is_imported_only_by_the_calls_that_need_it(tmp_path):
     # a fresh interpreter, since this test process has scipy loaded already
     out_path = tmp_path / "modules.json"
     subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, _simulated_csv(tmp_path),
-                    str(tmp_path / "study"), str(out_path)],
+                    _study_config(tmp_path, 150, 2, 1), str(tmp_path / "study"),
+                    str(out_path)],
                    env=_child_env(), check=True, timeout=120)
     seen = json.loads(out_path.read_text())
     # neither scipy, numpy.ma, a thread or process pool nor importlib.metadata;

@@ -7,19 +7,19 @@ from scipy import integrate
 
 from trunctail import (ModelViolationError, NumericError, WienerPath,
                        asymptotic_variance, combined_delta_second_moment,
-                       delta_moments, delta_moments_mc, gamma_process,
-                       limiting_rv, mc_variance, simulate_wiener,
-                       transformed_grid)
+                       delta_moments, gamma_process, limiting_rv, mc_variance,
+                       simulate_wiener)
 from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
                                      _increment_weights, _limit_row, _limit_weights,
-                                     _process_weights, _segment_weights, _warped_grid)
+                                     _process_weights, _segment_weights, _transformed_grid,
+                                     _warped_grid)
 from trunctail.seeding import derive_rng, stable_key
 
 
 def _random_path(seed, m=8, q=3.0):
     rng = np.random.default_rng(seed)
-    grid = transformed_grid(m, q)
+    grid = _transformed_grid(m, q)
     values = np.concatenate(([0.0], np.cumsum(rng.normal(size=m) * np.sqrt(np.diff(grid)))))
     return WienerPath(grid, values)
 
@@ -56,16 +56,16 @@ def test_simulate_wiener_reproducible():
 
 
 def test_transformed_grid_shape():
-    grid = transformed_grid(100, 4.0)
+    grid = _transformed_grid(100, 4.0)
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert np.all(np.diff(grid) > 0.0)
-    assert np.array_equal(transformed_grid(10, 1.0), np.arange(11) / 10.0)
+    assert np.array_equal(_transformed_grid(10, 1.0), np.arange(11) / 10.0)
     with pytest.raises(NumericError):
-        transformed_grid(1024, 400.0)
+        _transformed_grid(1024, 400.0)
     with pytest.raises(ValueError):
-        transformed_grid(1, 2.0)
+        _transformed_grid(1, 2.0)
     with pytest.raises(ValueError):
-        transformed_grid(16, 0.5)
+        _transformed_grid(16, 0.5)
 
 
 @pytest.mark.parametrize("a", [-1.3, -1.05, -1.8])
@@ -88,7 +88,7 @@ def test_segment_weights_match_quadrature(a):
 
 
 def test_segment_weights_validation():
-    grid = transformed_grid(8, 2.0)
+    grid = _transformed_grid(8, 2.0)
     with pytest.raises(ValueError):
         _segment_weights(grid, -0.5)
     with pytest.raises(ValueError):
@@ -96,7 +96,7 @@ def test_segment_weights_validation():
 
 
 def test_limiting_rv_zero_path_is_exactly_zero():
-    grid = transformed_grid(64, 5.0)
+    grid = _transformed_grid(64, 5.0)
     zero = WienerPath(grid, np.zeros(grid.size))
     assert limiting_rv(zero, 0.6, 1.4) == 0.0
     assert gamma_process(2.0, zero, 0.6, 1.4) == 0.0
@@ -211,7 +211,7 @@ def test_delta_moments_frozen_values():
 @pytest.mark.parametrize("rho,seed", [(0.6, 101), (0.9, 102)])
 def test_delta_moments_mc_agrees_with_closed_form(rho, seed):
     n_paths = 30000
-    mc = delta_moments_mc(rho, n_paths, 4096, seed=seed)
+    mc = _delta_moments(_ensemble(_delta_rows(rho, 4096), seed, n_paths))
     cf = delta_moments(rho)
     pairs = {"d11": ("d11", "d11"), "d22": ("d22", "d22"), "d33": ("d33", "d33"),
              "d12": ("d11", "d22"), "d13": ("d11", "d33"), "d23": ("d22", "d33")}
@@ -274,7 +274,7 @@ def test_grid_z_is_calibrated_over_groups_of_one_ensemble():
 
 def _ensemble_oracle(rho, m, seed, n_paths):
     """The per-path cumsum-and-dot loop: (Delta1, Delta2, Delta3) rows."""
-    grid = transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    grid = _transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
     w_plain, w_log = _segment_weights(grid, rho - 2.0)
     sds = np.sqrt(np.diff(grid))
     values = np.zeros(m + 1)
@@ -324,7 +324,8 @@ def test_one_stacked_pass_gives_mc_variance_and_delta_moments_mc_exactly():
     for (gamma1, gamma2), row, v in zip(pairs, rows, values):
         assert (_ensemble_stats(gamma1, gamma2, row, v)
                 == mc_variance(gamma1, gamma2, n_paths, m, seed))
-    assert _delta_moments(values[2:]) == delta_moments_mc(0.7, n_paths, m, seed)
+    alone = _ensemble(_delta_rows(0.7, m), seed, n_paths)
+    assert _delta_moments(values[2:]) == _delta_moments(alone)
 
 
 def test_ensemble_forks_one_child_per_extra_core_capped_at_paths(monkeypatch):

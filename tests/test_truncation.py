@@ -70,6 +70,13 @@ def test_csv_diagnostics():
         TruncatedSample.read_csv(io.StringIO("x,y\n1,2,3\n4,5,6\n"))
     sample = TruncatedSample.read_csv(io.StringIO('x,y\n"1",2\n3,"4"\n'))
     assert (sample.x.tolist(), sample.y.tolist()) == ([1.0, 3.0], [2.0, 4.0])
+    # "1_0" sends the file to the csv module's reader, whose field size
+    # limit a 200 002-character field exceeds: a ValueError naming the row
+    text = "x,y\n1_0,20\n" + "1" * 200_002 + ",2\n" + "1,2\n" * 29
+    with pytest.raises(ValueError, match="^data row 2: field larger than field limit"):
+        TruncatedSample.read_csv(io.StringIO(text))
+    with pytest.raises(ValueError, match="^bad CSV header: field larger than field limit"):
+        TruncatedSample.read_csv(io.StringIO("x" * 200_002 + ",y\n1,2\n"))
 
 
 def test_read_csv_reads_a_pipe():
