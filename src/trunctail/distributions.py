@@ -1,7 +1,7 @@
-"""Heavy-tailed marginal models: Burr, Pareto and Frechet.
+"""Heavy-tailed marginal models: Burr and Pareto.
 
-All three families have survival functions that are regularly varying
-at infinity with index -1/tail_index, which is the only property the
+Both families have survival functions that are regularly varying at
+infinity with index -1/tail_index, which is the only property the
 estimators downstream rely on.  The Burr family additionally exposes a
 shape parameter delta controlling the second-order approach to the
 pure power law.
@@ -20,10 +20,9 @@ __all__ = [
     "HeavyTailModel",
     "burr",
     "pareto",
-    "frechet",
 ]
 
-_FAMILIES = ("burr", "pareto", "frechet")
+_FAMILIES = ("burr", "pareto")
 
 
 def _as_array(x, name, lower=0.0):
@@ -46,11 +45,11 @@ class HeavyTailModel:
     """A heavy-tailed distribution with tail index tail_index > 0.
 
     Attributes:
-        family: one of "burr", "pareto", "frechet".
+        family: "burr" or "pareto".
         tail_index: extreme value index gamma > 0 of the survival
             function, i.e. survival is regularly varying with index
             -1/gamma.
-        delta: Burr shape parameter (> 0); None for the other families.
+        delta: Burr shape parameter (> 0); None for Pareto.
     """
 
     family: str
@@ -75,11 +74,8 @@ class HeavyTailModel:
         if self.family == "burr":
             d = self.delta
             out = np.exp((-d / g) * np.log1p(xa ** (1.0 / d)))
-        elif self.family == "pareto":
+        else:
             out = np.where(xa < 1.0, 1.0, np.power(np.maximum(xa, 1.0), -1.0 / g))
-        else:  # frechet
-            with np.errstate(divide="ignore"):
-                out = np.where(xa == 0.0, 1.0, -np.expm1(-(xa ** (-1.0 / g))))
         return _scalar_like(out, x)
 
     def df(self, x):
@@ -89,12 +85,9 @@ class HeavyTailModel:
         if self.family == "burr":
             d = self.delta
             out = -np.expm1((-d / g) * np.log1p(xa ** (1.0 / d)))
-        elif self.family == "pareto":
-            with np.errstate(divide="ignore"):
-                out = np.where(xa < 1.0, 0.0, -np.expm1((-1.0 / g) * np.log(np.maximum(xa, 1.0))))
         else:
             with np.errstate(divide="ignore"):
-                out = np.where(xa == 0.0, 0.0, np.exp(-(xa ** (-1.0 / g))))
+                out = np.where(xa < 1.0, 0.0, -np.expm1((-1.0 / g) * np.log(np.maximum(xa, 1.0))))
         return _scalar_like(out, x)
 
     def quantile(self, u):
@@ -106,10 +99,8 @@ class HeavyTailModel:
         if self.family == "burr":
             d = self.delta
             out = np.expm1((-g / d) * np.log1p(-ua)) ** d
-        elif self.family == "pareto":
-            out = np.exp(-g * np.log1p(-ua))
         else:
-            out = (-np.log(ua)) ** (-g)
+            out = np.exp(-g * np.log1p(-ua))
         return _scalar_like(out, u)
 
     def sample(self, count: int, seed: int, *tags: int) -> np.ndarray:
@@ -133,8 +124,3 @@ def burr(delta: float, tail_index: float) -> HeavyTailModel:
 def pareto(tail_index: float) -> HeavyTailModel:
     """Pareto model with survival x^(-1/tail_index) on [1, inf)."""
     return HeavyTailModel("pareto", tail_index)
-
-
-def frechet(tail_index: float) -> HeavyTailModel:
-    """Frechet model with df exp(-x^(-1/tail_index)) on (0, inf)."""
-    return HeavyTailModel("frechet", tail_index)

@@ -86,7 +86,7 @@ class WienerPath:
         values: W at the grid times, values[0] = 0.
 
     simulate_wiener produces paths on the uniform grid j/m; the Monte
-    Carlo ensembles use warped grids (see _transformed_grid).  Between
+    Carlo ensembles use warped grids (see _warped_grid).  Between
     grid points the path is understood as linearly interpolated.
     """
 
@@ -120,21 +120,6 @@ def simulate_wiener(m: int, seed: int) -> WienerPath:
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])
     return WienerPath(np.arange(m + 1) / m, values)
-
-
-def _transformed_grid(m: int, q: float) -> np.ndarray:
-    """Warped time grid (j/m)^q concentrating resolution near 0."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if not (np.isfinite(q) and q >= 1.0):
-        raise ValueError("q must be finite and >= 1")
-    grid = (np.arange(m + 1) / m) ** q
-    if grid[1] == 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise NumericError(
-            f"warped grid underflows at m={m}, q={q}; "
-            "the tail indices are too close for this resolution"
-        )
-    return grid
 
 
 def _segment_weights(grid: np.ndarray, a: float):
@@ -191,6 +176,11 @@ def _tail_parameters(gamma1: float, gamma2: float):
         )
     gamma = gamma1 * gamma2 / (gamma1 + gamma2)
     rho = 1.0 - gamma / gamma2
+    if not (0.5 < rho < 1.0):   # as it must for gamma1 < gamma2, unless rounded to an end
+        raise NumericError(
+            f"rho = 1 - gamma/gamma2 rounds to {rho} at gamma1={gamma1}, gamma2={gamma2}; "
+            "the limit law needs 1/2 < rho < 1"
+        )
     return gamma, rho
 
 
@@ -321,7 +311,17 @@ def combined_delta_second_moment(gamma1: float, gamma2: float) -> float:
 
 
 def _warped_grid(rho: float, m: int) -> np.ndarray:
-    return _transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    """Time grid (j/m)^q with q = 2/(2 rho - 1), concentrating resolution near 0."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    q = 2.0 / (2.0 * rho - 1.0)
+    grid = (np.arange(m + 1) / m) ** q
+    if grid[1] == 0.0 or np.any(np.diff(grid) <= 0.0):
+        raise NumericError(
+            f"warped grid underflows at m={m}, q={q}; "
+            "the tail indices are too close for this resolution"
+        )
+    return grid
 
 
 def _delta_rows(rho: float, m: int) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "ConfidenceInterval",
     "TailIndexEstimate",
     "asymptotic_variance",
-    "confidence_interval",
     "default_k_max",
     "estimate_gamma2",
     "full_report",
@@ -249,7 +248,8 @@ def _ndtri(p: float) -> float:
 
 
 def _interval_z(level: float) -> float:
-    """Normal quantile z of a two-sided interval; raises as confidence_interval documents."""
+    """Normal quantile z of a two-sided interval at level; a ValueError
+    if level is outside (0, 1) or so close to 1 that z overflows."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie in (0, 1)")
     z = _ndtri(0.5 * (1.0 + level))   # bitwise equal to scipy.stats.norm.ppf
@@ -258,21 +258,9 @@ def _interval_z(level: float) -> float:
     return z
 
 
-def confidence_interval(estimate: TailIndexEstimate, gamma2_hat: float,
-                        level: float = 0.95) -> ConfidenceInterval:
-    """Plug-in normal interval gamma1_hat +/- z * sigma_hat / sqrt(k).
-
-    Raises:
-        ValueError: if level is outside (0, 1) or so close to 1 that z
-            overflows, or if gamma1_hat is not a positive real.
-        ModelViolationError: if gamma2_hat <= gamma1_hat, which leaves
-            the plug-in variance undefined.
-    """
-    sigma2 = asymptotic_variance(estimate.gamma1_hat, gamma2_hat)
-    half = _interval_z(level) * math.sqrt(sigma2 / estimate.k)
-    return ConfidenceInterval(level=level,
-                              lower=estimate.gamma1_hat - half,
-                              upper=estimate.gamma1_hat + half)
+def _check_theta(theta: float) -> None:
+    if not (0.0 <= theta <= 0.5):   # NaN fails too
+        raise ValueError("theta must lie in [0, 0.5]")
 
 
 def default_k_max(n: int) -> int:
@@ -326,8 +314,7 @@ def select_k_dispersion(path: np.ndarray, theta: float = 0.3,
         k_max = default_k_max(n)
         if k_max < 4:                     # n <= 5: no default range
             raise DegenerateTailError(f"sample too small for threshold selection (n={n})")
-    if not (0.0 <= theta <= 0.5):
-        raise ValueError("theta must lie in [0, 0.5]")
+    _check_theta(theta)
     if not (k_min is None or 2 <= k_min <= k_max) or k_max >= n:
         raise ValueError(f"need 2 <= k_min <= k_max < n, got ({k_min}, {k_max}, {n})")
     start = max(4, math.isqrt(n) if k_min is None else k_min)
@@ -394,14 +381,15 @@ def full_report(sample: TruncatedSample, k: int | None = None,
                 level: float | None = 0.95) -> TailIndexEstimate:
     """gamma1_estimate(sample, k, variant, theta) plus the gamma2 and interval plug-ins.
 
-    The interval is refused, with a warning, rather than built on an
-    undefined variance: when gamma1_hat is not a positive real, or when
-    gamma2_hat <= gamma1_hat, a model violation.  One reaching down to 0
-    or below is kept as computed and named in a warning.  level=None
-    skips it; any other level is checked before fitting.
+    The interval, gamma1_hat +/- z sqrt(sigma2_hat/k), is refused with a
+    warning rather than built on an undefined variance: when gamma1_hat
+    is not a positive real, or when gamma2_hat <= gamma1_hat, a model
+    violation.  One reaching down to 0 or below is kept as computed and
+    named in a warning.  level=None skips it; any other level, and theta,
+    are checked before fitting.
     """
-    if level is not None:
-        _interval_z(level)
+    z = None if level is None else _interval_z(level)
+    _check_theta(theta)
     if sample.n < 3:
         raise DegenerateTailError(f"need at least 3 observed pairs, got {sample.n}")
     est = gamma1_estimate(sample, k, variant, theta)
@@ -413,16 +401,16 @@ def full_report(sample: TruncatedSample, k: int | None = None,
     if level is None:
         return est
     try:
-        est.ci = confidence_interval(est, est.gamma2_hat, level)
         est.sigma2_hat = asymptotic_variance(est.gamma1_hat, est.gamma2_hat)
-        est.warnings.append(
-            "interval ignores the deterministic bias term; no bias correction applied"
-        )
-        if est.ci.lower <= 0:
-            est.warnings.append(
-                f"interval lower bound {est.ci.lower:.6g} <= 0 lies outside the "
-                "domain of a tail index; it is reported unclipped"
-            )
-    except ValueError as exc:   # not the level, checked above; a ModelViolationError too
+    except ValueError as exc:   # a ModelViolationError too
         est.warnings.append(f"confidence interval refused: {exc}")
+        return est
+    half = z * math.sqrt(est.sigma2_hat / est.k)
+    est.ci = ConfidenceInterval(level, est.gamma1_hat - half, est.gamma1_hat + half)
+    est.warnings.append("interval ignores the deterministic bias term; no bias correction applied")
+    if est.ci.lower <= 0:
+        est.warnings.append(
+            f"interval lower bound {est.ci.lower:.6g} <= 0 lies outside the "
+            "domain of a tail index; it is reported unclipped"
+        )
     return est

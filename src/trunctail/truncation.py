@@ -164,8 +164,7 @@ class TruncationModel:
 
     def __post_init__(self):
         f, g = self.f_model, self.g_model
-        if not (f.family == g.family == "pareto"
-                or (f.family == g.family == "burr" and f.delta == g.delta)):
+        if not (f.family == g.family and f.delta == g.delta):
             raise ValueError(
                 "truncation model needs two Burr marginals with one delta or two "
                 f"Pareto marginals, got {f} and {g}"

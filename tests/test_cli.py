@@ -110,6 +110,9 @@ def test_estimate_rejects_malformed_csv(tmp_path, capsys):
     assert main(["estimate", str(path)]) == 2
     assert main(["estimate", str(tmp_path / "absent.csv")]) == 2
     capsys.readouterr()
+    path.write_text("")
+    assert main(["estimate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: empty CSV: expected header x,y\n"
 
 
 def test_estimate_unwritable_output_exits_2(tmp_path, capsys):
@@ -153,6 +156,14 @@ def test_estimate_rejects_theta_out_of_range_with_fixed_k(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "theta must lie in [0, 0.5]" in captured.err
+    # on 4 rows the gamma2 scan is refused as too small before it reads
+    # theta; full_report checks theta first, so these are bad input too
+    report = tmp_path / "r.json"
+    for theta in ("0.9", "nan"):
+        args = ["estimate", _complete_csv(tmp_path), "--k", "2", "--theta", theta]
+        assert main(args + ["--json", str(report)]) == 2
+        assert capsys.readouterr().err == "error: theta must lie in [0, 0.5]\n"
+        assert not report.exists() and not (tmp_path / "r.json.manifest.json").exists()
 
 
 def _tied_top_csv(tmp_path):
@@ -703,6 +714,20 @@ def test_limit_check_bad_input_exits_2_before_any_child_is_forked(capsys, monkey
     code = main(["limit-check"] + [part for item in args.items() for part in item])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gamma1,gamma2", [("1.3522987986828883", "1.3522987986828885"),
+                                           ("0.6", "1e300")])
+def test_limit_check_names_a_rho_that_rounds_to_an_end(capsys, gamma1, gamma2):
+    # rho = 1 - gamma/gamma2 rounds to 1/2 and to 1 here, where the warped
+    # grid and the segment weights are undefined
+    code = main(["limit-check", "--gamma1", gamma1, "--gamma2", gamma2,
+                 "--paths", "2", "--m", "16", "--seed", "1"])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numeric failure: rho = 1 - gamma/gamma2 rounds to ")
+    assert captured.err.count("\n") == 1
 
 
 def test_limit_check_requires_seed():

@@ -12,14 +12,13 @@ from trunctail import (ModelViolationError, NumericError, WienerPath,
 from trunctail import limit_process, seeding
 from trunctail.limit_process import (_delta_moments, _delta_rows, _ensemble, _ensemble_stats,
                                      _increment_weights, _limit_row, _limit_weights,
-                                     _process_weights, _segment_weights, _transformed_grid,
-                                     _warped_grid)
+                                     _process_weights, _segment_weights, _warped_grid)
 from trunctail.seeding import derive_rng, stable_key
 
 
 def _random_path(seed, m=8, q=3.0):
     rng = np.random.default_rng(seed)
-    grid = _transformed_grid(m, q)
+    grid = _warped_grid(0.5 + 1.0 / q, m)
     values = np.concatenate(([0.0], np.cumsum(rng.normal(size=m) * np.sqrt(np.diff(grid)))))
     return WienerPath(grid, values)
 
@@ -31,6 +30,10 @@ def test_wiener_path_validation():
         WienerPath(np.array([0.0, 0.5, 0.4, 1.0]), np.zeros(4))
     with pytest.raises(ValueError):
         WienerPath(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="equal length"):
+        WienerPath(np.array([0.0, 0.5, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        simulate_wiener(1, 0)
     path = WienerPath(np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, -1.0]))
     assert path.m == 2
     assert np.interp(0.25, path.grid, path.values) == pytest.approx(0.5, rel=1e-15)
@@ -55,17 +58,15 @@ def test_simulate_wiener_reproducible():
     assert not np.array_equal(a.values, simulate_wiener(128, seed=10).values)
 
 
-def test_transformed_grid_shape():
-    grid = _transformed_grid(100, 4.0)
+def test_warped_grid_shape():
+    grid = _warped_grid(0.75, 100)   # q = 4
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert np.all(np.diff(grid) > 0.0)
-    assert np.array_equal(_transformed_grid(10, 1.0), np.arange(11) / 10.0)
-    with pytest.raises(NumericError):
-        _transformed_grid(1024, 400.0)
-    with pytest.raises(ValueError):
-        _transformed_grid(1, 2.0)
-    with pytest.raises(ValueError):
-        _transformed_grid(16, 0.5)
+    assert np.array_equal(grid, (np.arange(101) / 100) ** 4.0)
+    with pytest.raises(NumericError, match="underflows"):
+        _warped_grid(0.5 + 1.0 / 400.0, 1024)
+    with pytest.raises(ValueError, match="m must be >= 2"):
+        _warped_grid(0.75, 1)
 
 
 @pytest.mark.parametrize("a", [-1.3, -1.05, -1.8])
@@ -88,15 +89,17 @@ def test_segment_weights_match_quadrature(a):
 
 
 def test_segment_weights_validation():
-    grid = _transformed_grid(8, 2.0)
+    grid = _warped_grid(1.0, 8)   # q = 2
     with pytest.raises(ValueError):
         _segment_weights(grid, -0.5)
     with pytest.raises(ValueError):
         _segment_weights(grid, -2.5)
+    with pytest.raises(NumericError, match="overflows at the first grid point"):
+        _segment_weights(np.array([0.0, 1e-305, 1.0]), -1.999)   # 0.999 * 702.3 > 700
 
 
 def test_limiting_rv_zero_path_is_exactly_zero():
-    grid = _transformed_grid(64, 5.0)
+    grid = _warped_grid(0.5 + 1.0 / 5.0, 64)
     zero = WienerPath(grid, np.zeros(grid.size))
     assert limiting_rv(zero, 0.6, 1.4) == 0.0
     assert gamma_process(2.0, zero, 0.6, 1.4) == 0.0
@@ -247,6 +250,14 @@ def test_mc_variance_reproducible_and_near_closed_form():
     assert mc_variance(0.6, 1.4, 4000, 4096, seed=6).std_error == a.std_error
 
 
+@pytest.mark.parametrize("gamma1,gamma2,rho", [
+    # gamma1 < gamma2 puts rho in (1/2, 1), but it can round to either end
+    (1.3522987986828883, 1.3522987986828885, 0.5), (0.6, 1e300, 1.0)])
+def test_mc_variance_names_a_rho_that_rounds_to_an_end(gamma1, gamma2, rho):
+    with pytest.raises(NumericError, match=f"rho = 1 - gamma/gamma2 rounds to {rho} "):
+        mc_variance(gamma1, gamma2, 2, 16, seed=1)
+
+
 def test_mc_variance_second_pair():
     st = mc_variance(0.8, 3.2, 4000, 4096, seed=6)
     closed = asymptotic_variance(0.8, 3.2)
@@ -274,7 +285,7 @@ def test_grid_z_is_calibrated_over_groups_of_one_ensemble():
 
 def _ensemble_oracle(rho, m, seed, n_paths):
     """The per-path cumsum-and-dot loop: (Delta1, Delta2, Delta3) rows."""
-    grid = _transformed_grid(m, 2.0 / (2.0 * rho - 1.0))
+    grid = _warped_grid(rho, m)
     w_plain, w_log = _segment_weights(grid, rho - 2.0)
     sds = np.sqrt(np.diff(grid))
     values = np.zeros(m + 1)

@@ -64,6 +64,7 @@ def test_config_accepts_scalar_n_and_default_delta():
     pytest.param(lambda d: d.update(replicates=True), "/replicates", id="true-replicates"),
     pytest.param(lambda d: d.update(theta=False), "/theta", id="false-theta"),
     pytest.param(lambda d: d.update(master_seed=True), "/master_seed", id="true-master_seed"),
+    pytest.param(lambda d: d.update(cells=[5]), "/cells/0", id="non-object-cell"),
 ])
 def test_config_pointer_diagnostics(mutate, pointer):
     data = _config()
@@ -75,6 +76,8 @@ def test_config_pointer_diagnostics(mutate, pointer):
 def test_config_from_json_rejects_bad_text():
     with pytest.raises(ValueError, match="not valid JSON"):
         StudyConfig.from_json("{nope")
+    with pytest.raises(ValueError, match="^config error at : top level must be an object$"):
+        StudyConfig.from_json("[]")
 
 
 def test_single_replicate_matches_manual_computation():
@@ -360,6 +363,8 @@ def test_run_cell_mean_observed_fraction():
 def test_run_cell_degenerate_when_nothing_survives():
     with pytest.raises(DegenerateTailError):
         run_cell(0.7, 0.6, 0.25, 2, replicates=3, seed=0)
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        run_cell(0.7, 0.6, 0.25, 300, replicates=0, seed=0)
 
 
 def test_run_study_cell_order_immaterial():

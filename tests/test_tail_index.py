@@ -6,11 +6,11 @@ import pytest
 
 from trunctail import (LYNDEN_BELL, WOODROOFE, DegenerateTailError,
                        ModelViolationError, TruncatedSample, asymptotic_variance,
-                       burr, confidence_interval, default_k_max, estimate_gamma2,
+                       burr, default_k_max, estimate_gamma2,
                        fit_product_limit, full_report, gamma1_estimate,
                        gamma1_path, gamma2_for_target_p, hill, hill_path,
                        select_k_dispersion)
-from trunctail.tail_index import TailIndexEstimate, _ndtri
+from trunctail.tail_index import ConfidenceInterval, _interval_z, _ndtri
 from trunctail.truncation import TruncationModel
 
 
@@ -107,6 +107,8 @@ def test_k_validation():
         gamma1_estimate(sample, 3)
     with pytest.raises(ValueError):
         hill([1.0, 2.0], 2)
+    with pytest.raises(ValueError, match="at least two values"):
+        hill_path([1.0])
     with pytest.raises(ValueError):
         gamma1_estimate(TruncatedSample(np.array([0.0, 1.0]), np.array([2.0, 2.0])), 1)
 
@@ -129,29 +131,27 @@ def test_asymptotic_variance_limits_and_growth():
 
 
 def test_confidence_interval_frozen_example():
-    est = TailIndexEstimate(gamma1_hat=0.6, k=100, variant=WOODROOFE, n=1000)
-    ci = confidence_interval(est, gamma2_hat=1.4, level=0.95)
-    assert ci.lower == pytest.approx(0.6 - 1.959964 * math.sqrt(1.598625) / 10.0, abs=5e-6)
-    assert ci.upper == pytest.approx(0.6 + 1.959964 * math.sqrt(1.598625) / 10.0, abs=5e-6)
-    assert ci.lower == pytest.approx(0.352191, abs=1e-5)
-    assert ci.upper == pytest.approx(0.847809, abs=1e-5)
+    # gamma1_hat = 0.6, gamma2_hat = 1.4, k = 100
+    half = _interval_z(0.95) * math.sqrt(asymptotic_variance(0.6, 1.4) / 100)
+    assert half == pytest.approx(1.959964 * math.sqrt(1.598625) / 10.0, abs=5e-6)
+    assert 0.6 - half == pytest.approx(0.352191, abs=1e-5)
+    assert 0.6 + half == pytest.approx(0.847809, abs=1e-5)
+    # full_report builds its interval from the same two pieces
+    sample = _truncated_sample(88, big_n=600)
+    for level in (0.5, 0.95):
+        est = full_report(sample, level=level)
+        assert est.sigma2_hat == asymptotic_variance(est.gamma1_hat, est.gamma2_hat)
+        half = _interval_z(level) * math.sqrt(est.sigma2_hat / est.k)
+        assert est.ci == ConfidenceInterval(level, est.gamma1_hat - half, est.gamma1_hat + half)
 
 
 def test_confidence_interval_quantile_is_bitwise_norm_ppf():
     from scipy import stats   # the slow oracle; the package itself uses ndtri
 
-    # gamma1 just below gamma2 = 1 makes sigma about 2^78 gamma1_hat, so
-    # gamma1_hat vanishes from both bounds, which read -z * sigma and
-    # z * sigma: a z one ulp off moves a bound at every level here
-    gamma1, gamma2 = 1.0 - 2.0 ** -52, 1.0
-    est = TailIndexEstimate(gamma1_hat=gamma1, k=1, variant=WOODROOFE, n=10)
-    sigma = math.sqrt(asymptotic_variance(gamma1, gamma2))
     levels = [0.5, 0.8, 0.9, 0.95, 0.99]
     levels += np.random.default_rng(20150706).uniform(0.0, 1.0, 10_000).tolist()
     for level in levels:
-        half = float(stats.norm.ppf(0.5 * (1.0 + level))) * sigma
-        ci = confidence_interval(est, gamma2, level)
-        assert (ci.lower, ci.upper) == (-half, half), level
+        assert _interval_z(level) == float(stats.norm.ppf(0.5 * (1.0 + level))), level
 
 
 def test_ndtri_is_bitwise_scipy_ndtri_on_every_branch():
@@ -180,13 +180,14 @@ def test_ndtri_is_bitwise_scipy_ndtri_on_every_branch():
 
 
 def test_confidence_interval_refuses_bad_ordering():
-    est = TailIndexEstimate(gamma1_hat=0.9, k=50, variant=WOODROOFE, n=400)
     with pytest.raises(ModelViolationError):
-        confidence_interval(est, gamma2_hat=0.5)
-    with pytest.raises(ValueError):
-        confidence_interval(est, gamma2_hat=1.4, level=1.5)
+        asymptotic_variance(0.9, 0.5)
+    sample = _truncated_sample(88, big_n=600)
+    for level in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            full_report(sample, level=level)
     with pytest.raises(ValueError, match="too close to 1"):   # 0.5 * (1 + level) is 1.0
-        confidence_interval(est, gamma2_hat=1.4, level=math.nextafter(1.0, 0.0))
+        full_report(sample, level=math.nextafter(1.0, 0.0))
 
 
 def test_default_k_max():
@@ -230,6 +231,8 @@ def test_select_k_dispersion_validation():
         select_k_dispersion(path, theta=0.9)
     with pytest.raises(ValueError):
         select_k_dispersion(path, k_min=2, k_max=60)
+    with pytest.raises(DegenerateTailError, match="no informative thresholds to scan"):
+        select_k_dispersion(path, k_max=3)   # below the default start, isqrt(50) = 7
     bad = path.copy()
     bad[10] = np.nan
     with pytest.raises(DegenerateTailError):

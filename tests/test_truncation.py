@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from trunctail import (EmptySampleError, TruncatedSample, TruncationModel,
-                       burr, frechet, gamma2_for_target_p, pareto)
+                       burr, gamma2_for_target_p, pareto)
 
 
 def _pair(p=0.7, gamma1=0.6, delta=0.25):
@@ -168,8 +168,8 @@ def test_truncation_probability_is_not_a_constructor_argument():
 
 
 @pytest.mark.parametrize("f,g", [(burr(0.25, 0.6), burr(0.5, 1.4)),
-                                 (pareto(0.5), frechet(1.0)),
-                                 (frechet(0.5), frechet(1.0))])
+                                 (burr(0.25, 0.6), pareto(1.0)),
+                                 (pareto(0.5), burr(0.25, 1.0))])
 def test_model_refuses_pairs_without_closed_forms(f, g):
     with pytest.raises(ValueError, match=re.escape(f"got {f} and {g}")):
         TruncationModel(f, g)
@@ -245,6 +245,8 @@ def test_sample_reproducible_and_respects_truncation():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert np.all(a.x <= a.y)
     assert not np.array_equal(a.x, model.sample(400, seed=12).x)
+    with pytest.raises(ValueError, match="big_n must be >= 1"):
+        model.sample(0, 1)
 
 
 def test_sample_fraction_near_p():
