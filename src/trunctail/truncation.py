@@ -6,10 +6,12 @@ This module computes the truncation probability p = P(X <= Y), the
 survivals of the observed pair, the coverage function
 C(z) = F_obs(z) - G_obs(z), and draws observed samples.
 
-The two marginals share a family: two Burr marginals with one delta,
-or two Pareto marginals.  Then Gbar = Fbar^c with c = gamma1/gamma2,
-and every quantity above is a product of F, Fbar and Gbar in closed
-form.
+The marginals are two Burr marginals with one delta.  Then
+Gbar = Fbar^c with c = gamma1/gamma2, and every quantity above is a
+product of F, Fbar and Gbar in closed form.  The marginals' forms are
+overflow-safe (log(x)/delta stands in for log1p(x^(1/delta)) where the
+power is above the largest float), so these stay finite and raise no
+warning deep in the tail, at x = 1e80 under delta = 0.25 for one.
 """
 
 import csv
@@ -152,8 +154,8 @@ class TruncationModel:
         f_model: marginal of the target variable X (tail index gamma1).
         g_model: marginal of the truncation variable Y (tail index gamma2).
 
-    The marginals must be two Burr models with one delta or two Pareto
-    models; any other pair is a ValueError.  The tail theory downstream
+    The marginals must be two Burr models with one delta; any other
+    pair is a ValueError.  The tail theory downstream
     needs gamma1 < gamma2; constructing a model without that property
     emits a warning rather than an error so boundary behaviour stays
     explorable.
@@ -164,11 +166,9 @@ class TruncationModel:
 
     def __post_init__(self):
         f, g = self.f_model, self.g_model
-        if not (f.family == g.family and f.delta == g.delta):
-            raise ValueError(
-                "truncation model needs two Burr marginals with one delta or two "
-                f"Pareto marginals, got {f} and {g}"
-            )
+        if f.delta != g.delta:
+            raise ValueError("truncation model needs two Burr marginals with one delta, "
+                             f"got {f} and {g}")
         if f.tail_index >= g.tail_index:
             warnings.warn(
                 "truncation tail is not lighter than the target tail "
@@ -220,6 +220,7 @@ class TruncationModel:
 
         Raises:
             EmptySampleError: if every pair is rejected.
+            NumericError: if a marginal draws a value above the largest float.
         """
         if big_n < 1:
             raise ValueError("big_n must be >= 1")
@@ -234,8 +235,8 @@ class TruncationModel:
 def gamma2_for_target_p(gamma1: float, p: float) -> float:
     """Truncation tail index giving truncation probability p.
 
-    Inverts TruncationModel.p = gamma2/(gamma1+gamma2), exact for every
-    model the class accepts.
+    Inverts TruncationModel.p = gamma2/(gamma1+gamma2), which is exact
+    for two Burr marginals with one delta, whatever that delta.
 
     Args:
         gamma1: target tail index, > 0.

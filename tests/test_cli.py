@@ -612,6 +612,29 @@ def test_simulate_all_replicates_degenerate_exits_4(tmp_path, capsys):
     assert not (tmp_path / "s.manifest.json").exists()
 
 
+def test_simulate_draws_quantiles_beyond_the_expm1_range(tmp_path):
+    # at p = 0.97 the truncation marginal is Burr(0.25, 19.4), whose
+    # quantile needs expm1(t) ** 0.25 for t past expm1's range on a few
+    # draws; each is a finite float, so every replicate completes
+    config = tmp_path / "p97.json"
+    config.write_text(json.dumps({"cells": [{"p": 0.97, "gamma1": 0.6, "N": 1000}],
+                                  "replicates": 100, "master_seed": 1}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s.json").read_text())["rows"][0]["completed"] == 100
+
+
+def test_simulate_names_a_draw_above_the_largest_float(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"cells": [{"p": 0.7, "gamma1": 1e300, "N": 100}],
+                                  "replicates": 4, "master_seed": 1}))
+    assert main(["simulate", "--config", str(config), "--threads", "2",
+                 "--out", str(tmp_path / "s")]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: numeric failure: HeavyTailModel(tail_index=1e+300, ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "s.manifest.json").exists()
+
+
 def test_simulate_inline_records_defaults_and_flags(tmp_path, capsys):
     # a config without delta, variant, theta or master_seed gets their defaults
     plain = tmp_path / "plain.json"

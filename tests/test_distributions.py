@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from trunctail import burr, pareto
-from trunctail.distributions import HeavyTailModel
+from trunctail import burr
+from trunctail.seeding import derive_rng
 
 
 def test_burr_survival_frozen_value():
@@ -22,30 +23,72 @@ def test_burr_quantile_frozen_value():
     assert model.quantile(0.5) == pytest.approx(1.4381725596178896, rel=1e-12)
 
 
-def test_pareto_frozen_values():
-    model = pareto(0.5)
-    assert model.survival(4.0) == pytest.approx(0.0625, abs=1e-15)
-    assert model.quantile(0.75) == pytest.approx(2.0, rel=1e-14)
-    assert model.survival(0.5) == 1.0
-    assert model.df(0.5) == 0.0
-
-
-@pytest.mark.parametrize("model", [burr(0.25, 0.6), burr(2.0, 1.1), pareto(0.5)])
+@pytest.mark.parametrize("model", [burr(0.25, 0.6), burr(2.0, 1.1)])
 def test_quantile_df_round_trip(model):
     u = np.linspace(0.01, 0.99, 25)
     back = model.df(model.quantile(u))
     assert np.allclose(back, u, rtol=1e-11, atol=1e-12)
 
 
-@pytest.mark.parametrize("model", [burr(0.25, 0.6), pareto(0.5)])
+@pytest.mark.parametrize("model", [burr(0.25, 0.6)])
 def test_survival_plus_df_is_one(model):
-    x = np.geomspace(0.1, 1e6, 30) if model.family != "pareto" else np.geomspace(1.0, 1e6, 30)
+    x = np.geomspace(0.1, 1e6, 30)
     total = model.survival(x) + model.df(x)
     assert np.allclose(total, 1.0, rtol=0, atol=1e-12)
 
 
+def test_overflow_safe_forms_keep_the_plain_expressions_bits():
+    # the plain expressions, evaluated with overflow silenced: wherever
+    # they are finite the model returns their bits, and where an
+    # intermediate power overflows it returns a finite value, warning-free
+    u = derive_rng(20261021).integers(1, 1 << 53, size=20_000) / float(1 << 53)
+    u = np.concatenate([u, 1.0 - np.arange(1, 201) / float(1 << 53)])
+    x = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 20_000)])
+    beyond = 0
+    for d in (0.25, 0.5, 1.0, 2.0):
+        for g in (0.6, 1.4, 5.4, 19.4):
+            model = burr(d, g)
+            with np.errstate(over="ignore"):
+                plain_q = np.expm1((-g / d) * np.log1p(-u)) ** d
+                power = x ** (1.0 / d)
+            plain_s = np.exp((-d / g) * np.log1p(power))
+            plain_f = -np.expm1((-d / g) * np.log1p(power))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q, s, f = model.quantile(u), model.survival(x), model.df(x)
+            kept = np.isfinite(plain_q)
+            assert np.array_equal(q[kept], plain_q[kept]), (d, g)
+            # exp(delta*t) overflows too for the u nearest 1 at gamma/delta = 77.6
+            assert np.isfinite(q[~kept & (u < 1.0 - 4.0 / (1 << 53))]).all(), (d, g)
+            kept = np.isfinite(power)
+            assert np.array_equal(s[kept], plain_s[kept]), (d, g)
+            assert np.array_equal(f[kept], plain_f[kept]), (d, g)
+            # there log1p(x^(1/delta)) = log(x)/delta to far below an ulp
+            beyond_x = x[~kept]
+            assert np.allclose(s[~kept], beyond_x ** (-1.0 / g), rtol=1e-12, atol=1e-300)
+            assert np.allclose(s[~kept] + f[~kept], 1.0, rtol=0, atol=1e-15)
+            beyond += (~np.isfinite(plain_q)).sum() + (~kept).sum()
+    assert beyond > 0   # the grids reach the overflow regions
+
+
+def test_quantile_beyond_the_expm1_range():
+    # ((1 - 0.9)^(-99/0.25) - 1)^0.25 = (10^396 - 1)^0.25, about 1e99,
+    # while expm1 overflows past t = 709.78
+    assert burr(0.25, 99.0).quantile(0.9) == pytest.approx(1e99, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_survival_deep_in_the_tail():
+    # (1 + x^4)^(-0.25/0.6) with x^4 = 1e320 above the largest float:
+    # survival = exp(-(5/12) * log(1e320)) = 10^(-400/3)
+    model = burr(0.25, 0.6)
+    assert model.survival(1e80) == pytest.approx(10.0 ** (-400.0 / 3.0), rel=1e-12)
+    assert model.df(1e80) == 1.0
+    assert model.survival(np.array([1e60, 1e78, 1e150])).min() > 0.0
+
+
 def test_survival_is_nonincreasing():
-    for model in (burr(0.25, 0.6), pareto(1.5)):
+    for model in (burr(0.25, 0.6), burr(2.0, 1.5)):
         x = np.geomspace(1e-3, 1e8, 200)
         s = model.survival(x)
         assert np.all(np.diff(s) <= 1e-15)
@@ -54,7 +97,7 @@ def test_survival_is_nonincreasing():
 
 def test_tail_decay_matches_index():
     # survival(x) ~ x^(-1/gamma): the log-log slope between two far points
-    for model in (burr(0.25, 0.6), pareto(0.7)):
+    for model in (burr(0.25, 0.6), burr(1.0, 0.7)):
         s4, s6 = model.survival(1e4), model.survival(1e6)
         slope = (math.log(s6) - math.log(s4)) / (math.log(1e6) - math.log(1e4))
         assert slope == pytest.approx(-1.0 / model.tail_index, rel=1e-3)
@@ -77,22 +120,17 @@ def test_sample_reproducible_and_distributed():
 
 
 def test_constructor_validation():
-    for family in ("cauchy", "frechet"):
-        with pytest.raises(ValueError, match="unknown family"):
-            HeavyTailModel(family, 1.0)
-    with pytest.raises(ValueError):
-        burr(0.25, -0.6)
-    with pytest.raises(ValueError):
-        burr(0.0, 0.6)
-    with pytest.raises(ValueError):
-        HeavyTailModel("pareto", 0.5, delta=0.25)
+    for bad in (-0.6, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tail_index must be finite and > 0"):
+            burr(0.25, bad)
+        with pytest.raises(ValueError, match="delta must be finite and > 0"):
+            burr(bad, 0.6)
     for bad in (math.nan, math.inf, -math.inf, 0.0, 1.0):
         for u in (bad, np.array([0.5, bad]), np.array([[bad], [0.5]])):
-            for model in (burr(0.25, 0.6), pareto(1.0)):
-                with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
-                    model.quantile(u)
-    with pytest.raises(ValueError):
-        pareto(1.0).survival(-1.0)
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                burr(0.25, 0.6).quantile(u)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        burr(0.25, 0.6).survival(-1.0)
     with pytest.raises(ValueError, match="x must be finite"):
         burr(0.25, 0.6).survival(np.nan)
     with pytest.raises(ValueError, match="count must be >= 1"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from trunctail import (EmptySampleError, TruncatedSample, TruncationModel,
-                       burr, gamma2_for_target_p, pareto)
+                       burr, gamma2_for_target_p)
 
 
 def _pair(p=0.7, gamma1=0.6, delta=0.25):
@@ -156,8 +156,7 @@ def _tail_integral(fun, x):
 
 def test_truncation_probability_closed_form_cases():
     assert _pair(0.7, 0.6).p == pytest.approx(0.7, rel=1e-14)
-    pp = TruncationModel(pareto(0.6), pareto(1.4))
-    assert pp.p == pytest.approx(0.7, rel=1e-14)
+    assert _pair(0.7, 0.6, delta=2.0).p == pytest.approx(0.7, rel=1e-14)
 
 
 def test_truncation_probability_is_not_a_constructor_argument():
@@ -168,8 +167,8 @@ def test_truncation_probability_is_not_a_constructor_argument():
 
 
 @pytest.mark.parametrize("f,g", [(burr(0.25, 0.6), burr(0.5, 1.4)),
-                                 (burr(0.25, 0.6), pareto(1.0)),
-                                 (pareto(0.5), burr(0.25, 1.0))])
+                                 (burr(2.0, 0.6), burr(1.0, 1.4)),
+                                 (burr(0.25, 0.6), burr(math.nextafter(0.25, 1.0), 1.4))])
 def test_model_refuses_pairs_without_closed_forms(f, g):
     with pytest.raises(ValueError, match=re.escape(f"got {f} and {g}")):
         TruncationModel(f, g)
@@ -178,7 +177,7 @@ def test_model_refuses_pairs_without_closed_forms(f, g):
 def test_truncation_probability_quadrature_agrees_with_closed():
     # p = P(X <= Y) = E[F(Y)] = int_0^1 F(Q_G(v)) dv
     for f, g in ((burr(0.25, 0.6), burr(0.25, 1.4)), (burr(1.0, 0.6), burr(1.0, 2.4)),
-                 (burr(2.0, 0.8), burr(2.0, 7.2)), (pareto(0.5), pareto(2.0))):
+                 (burr(2.0, 0.8), burr(2.0, 7.2)), (burr(0.05, 0.5), burr(0.05, 2.0))):
         quad_p = _quad(lambda v: f.df(g.quantile(v)), 0.0, 1.0)
         assert TruncationModel(f, g).p == pytest.approx(quad_p, rel=1e-9)
 
@@ -234,7 +233,7 @@ def test_observed_tail_index_formula():
 
 def test_model_warns_when_ordering_violated():
     with pytest.warns(UserWarning, match="gamma1") as record:
-        TruncationModel(pareto(1.4), pareto(0.6))
+        TruncationModel(burr(0.25, 1.4), burr(0.25, 0.6))
     assert [w.filename for w in record] == [__file__]   # the caller's line
 
 
@@ -258,6 +257,6 @@ def test_sample_fraction_near_p():
 
 
 def test_sample_can_reject_everything():
-    lopsided = TruncationModel(pareto(5.0), pareto(0.01))
+    lopsided = TruncationModel(burr(0.25, 5.0), burr(0.25, 0.01))
     with pytest.raises(EmptySampleError):
         lopsided.sample(2, seed=0)
